@@ -26,7 +26,7 @@ from .errors import GridDataError, GridOfoError
 from .network import solve_power_flow
 from .ofo import default_config
 from .plotting import gap_chart, power_chart, setpoint_chart, sweep_chart
-from .simulator import LINE_TRIP, run_scenario
+from .simulator import LINE_TRIP, check_events, run_scenario
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -151,6 +151,9 @@ def _activation_time(events) -> float:
 def cmd_robustness(args) -> int:
     grid = load_grid(args.grid)
     scen = load_scenario(args.scenario)
+    # reject bad input here: a worker would report it as a failed member
+    check_events(grid.net, scen.events)
+    period = _ofo_config(grid.net, scen.ofo).sampling_period
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -165,8 +168,7 @@ def cmd_robustness(args) -> int:
     for ln in grid.net.lines:
         if ln.id in tripped or not ln.in_service:
             continue
-        reduced = post_net.with_line_out(ln.id)
-        if len(reduced.connected_components()) > 1:
+        if post_net.with_line_out(ln.id).islanded_buses():
             skipped.append((ln.id, "removal islands the post-contingency grid"))
             continue
         tasks.append((args.grid, args.scenario, ln.id))
@@ -176,7 +178,6 @@ def cmd_robustness(args) -> int:
     results.sort(key=lambda r: (r[0] is not None, r[0]))
 
     t_on = _activation_time(scen.events)
-    period = _ofo_config(grid.net, scen.ofo).sampling_period
     nominal = next(r for r in results if r[0] is None)
     if nominal[1] != "ok":
         print(f"nominal run failed: {nominal[2]}", file=sys.stderr)
@@ -248,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True,
                            help="scenario JSON file")
             p.add_argument("--out", required=True, help="output directory")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for randomized runs (kept for "
-                            "reproducibility bookkeeping)")
 
     common(sub.add_parser("powerflow", help="solve and report the power flow"))
     p_sim = sub.add_parser("simulate", help="run one closed-loop scenario")

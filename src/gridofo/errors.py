@@ -42,3 +42,7 @@ class SimulationBlowupError(GridOfoError):
 
 class VoltageCollapseProximityError(GridOfoError):
     """The power-flow Jacobian is singular at the operating point."""
+
+
+class OfoStepError(GridOfoError):
+    """The controller's projection QP gave no optimal step, even softened."""

@@ -71,24 +71,6 @@ class MachineSet:
             setattr(self, f.name, np.array([getattr(p, f.name) for p in self.params]))
 
 
-@dataclass
-class MachineState:
-    delta_omega: float = 0.0
-    delta: float = 0.0
-    E_q_p: float = 0.0
-    E_d_p: float = 0.0
-    E_q_pp: float = 0.0
-    E_d_pp: float = 0.0
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.delta_omega, self.delta, self.E_q_p,
-                         self.E_d_p, self.E_q_pp, self.E_d_pp])
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "MachineState":
-        return cls(*[float(x) for x in arr])
-
-
 def rotor_rotation(delta):
     """Phasor-to-rotor-frame rotation factor exp(-1j*(delta - pi/2))."""
     return np.exp(-1j * (np.asarray(delta) - np.pi / 2))
@@ -155,8 +137,8 @@ def derivatives_given_currents(p, state, p_m, E_f, i_d, i_q, omega_base: float):
     """Machine ODE right-hand side with stator currents already known."""
     state = np.asarray(state)
     omega = 1.0 + state[..., OMEGA]
-    if np.any(omega <= 0):
-        raise SimulationBlowupError("rotor speed reached zero")
+    if not np.all(omega > 0):
+        raise SimulationBlowupError("rotor speed reached zero or is not finite")
     p_e = electrical_power(state, i_d, i_q)
 
     d = np.empty_like(state)
@@ -202,7 +184,7 @@ def init_from_power_flow(p, v_terminal, s_terminal, omega_base: float = 2 * np.p
 
     state = np.stack([np.zeros_like(p_e), delta, e_q_p, e_d_p, e_q_pp, e_d_pp], axis=-1)
     resid = machine_derivatives(p, state, p_m0, E_f0, v_terminal, omega_base)
-    if np.max(np.abs(resid)) > 1e-9:
+    if not np.max(np.abs(resid)) <= 1e-9:
         raise MachineInitError(
             f"equilibrium residual {np.max(np.abs(resid)):.3e} exceeds 1e-9"
         )

@@ -22,6 +22,9 @@ SLACK = "slack"
 PV = "PV"
 PQ = "PQ"
 
+_PF_TOL = 1e-10  # largest accepted P/Q mismatch, p.u.
+_PF_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class Bus:
@@ -185,6 +188,11 @@ class NetworkModel:
             comps.append(comp)
         return comps
 
+    def islanded_buses(self) -> tuple[int, ...]:
+        """Sorted ids of the buses outside the largest component (empty if connected)."""
+        main = max(self.connected_components(), key=len)
+        return tuple(sorted(b.id for b in self.buses if b.id not in main))
+
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
@@ -329,9 +337,6 @@ def solve_power_flow(
     gen_p: Sequence[float],
     gen_v: Sequence[float],
     warm_start: Optional[PowerFlowSolution] = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    ybus: Optional[np.ndarray] = None,
 ) -> PowerFlowSolution:
     """Newton-Raphson AC power flow with polar mismatch equations.
 
@@ -341,7 +346,7 @@ def solve_power_flow(
     if len(gen_p) != net.n_gen or len(gen_v) != net.n_gen:
         raise GridDataError("gen_p/gen_v must be dimensioned to the generators")
     n = net.n_bus
-    Y = build_ybus(net) if ybus is None else ybus
+    Y = build_ybus(net)
     slack, pv, pq = _bus_partitions(net)
 
     vm = np.ones(n)
@@ -358,19 +363,19 @@ def solve_power_flow(
     mag_idx = pq
 
     residual = np.inf
-    for it in range(max_iter + 1):
+    for it in range(_PF_MAX_ITER + 1):
         V = vm * np.exp(1j * va)
         S = V * np.conj(Y @ V)
         dP = S.real - P_spec
         dQ = S.imag - Q_spec
         mism = np.concatenate([dP[ang_idx], dQ[mag_idx]])
         residual = float(np.max(np.abs(mism))) if mism.size else 0.0
-        if residual <= tol:
+        if residual <= _PF_TOL:
             return PowerFlowSolution(
                 v=vm, theta=va, p_inj=S.real, q_inj=S.imag,
                 converged=True, residual=residual, iterations=it,
             )
-        if it == max_iter:
+        if it == _PF_MAX_ITER:
             break
         dS_dVa, dS_dVm = dSbus_dV(Y, V)
         J11 = dS_dVa[np.ix_(ang_idx, ang_idx)].real
@@ -384,4 +389,4 @@ def solve_power_flow(
             raise PowerFlowDivergenceError(residual, it) from None
         va[ang_idx] += dx[: len(ang_idx)]
         vm[mag_idx] += dx[len(ang_idx):]
-    raise PowerFlowDivergenceError(residual, max_iter)
+    raise PowerFlowDivergenceError(residual, _PF_MAX_ITER)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridDataError
+from .errors import GridDataError, OfoStepError
 from .network import Measurement, NetworkModel
 from .qp import OPTIMAL, QpProblem, qp_solve
 from .sensitivity import SensitivityMatrix
@@ -36,11 +36,13 @@ class OfoConfig:
     def __post_init__(self):
         for name in ("p_min", "p_max", "v_min", "v_max",
                      "out_v_min", "out_v_max", "flow_max"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.alpha <= 0:
-            raise GridDataError("ofo: alpha must be > 0")
-        if self.sampling_period <= 0:
-            raise GridDataError("ofo: sampling_period must be > 0")
+            bound = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(bound)):
+                raise GridDataError(f"ofo: {name} must be finite")
+            object.__setattr__(self, name, bound)
+        for name in ("alpha", "sampling_period", "rho"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise GridDataError(f"ofo: {name} must be finite and > 0")
         if np.any(self.p_min > self.p_max) or np.any(self.v_min > self.v_max):
             raise GridDataError("ofo: input bounds must be ordered")
         if np.any(self.out_v_min > self.out_v_max):
@@ -169,7 +171,8 @@ def ofo_update(cfg: OfoConfig, st: OfoState, y_m: Measurement, S: SensitivityMat
     if sol.status != OPTIMAL:
         softened = _soften_outputs(cfg, problem, st.u.size)
         sol = qp_solve(softened)
-        assert sol.status == OPTIMAL, "softened QP must be feasible"
+        if sol.status != OPTIMAL:
+            raise OfoStepError(f"softened projection QP ended {sol.status}")
     w = sol.w[: st.u.size]
     u_new = np.clip(st.u + cfg.alpha * w, cfg.u_min, cfg.u_max)
     return replace(st, u=u_new)

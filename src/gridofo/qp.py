@@ -76,7 +76,7 @@ def _dual_direction(N: np.ndarray, n_p: np.ndarray):
     return z, r
 
 
-def qp_solve(p: QpProblem, max_iter: int | None = None) -> QpSolution:
+def qp_solve(p: QpProblem) -> QpSolution:
     """Global minimizer of the least-distance problem, KKT-certified.
 
     Ties (equally violated constraints, equally blocking multipliers) break
@@ -84,8 +84,7 @@ def qp_solve(p: QpProblem, max_iter: int | None = None) -> QpSolution:
     """
     n = p.n
     m = p.h_ineq.size
-    if max_iter is None:
-        max_iter = 10 * (n + m)
+    max_iter = 10 * (n + m)
 
     G, h = p.G_ineq, p.h_ineq
     w = -p.g.copy()

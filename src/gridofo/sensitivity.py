@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IslandingError, VoltageCollapseProximityError
+from .errors import VoltageCollapseProximityError
 from .network import (
     NetworkModel,
     PowerFlowSolution,
@@ -26,7 +26,6 @@ from .network import (
     build_ybus,
     dSbus_dV,
     line_admittances,
-    solve_power_flow,
 )
 
 
@@ -142,26 +141,3 @@ def compute_sensitivity(
     mat = np.vstack([dvm, dflow, dtheta_row])
     return SensitivityMatrix(matrix=mat, operating_point=operating_point, topology=topology)
 
-
-def perturbed_sensitivity(
-    net: NetworkModel,
-    removed_line: str,
-    gen_p,
-    gen_v,
-    warm_start: PowerFlowSolution | None = None,
-) -> SensitivityMatrix:
-    """Sensitivity of a topology with one extra line erased (robustness study).
-
-    Evaluated at the erased topology's own power-flow solution; raises
-    IslandingError when the removal disconnects the grid.
-    """
-    reduced = net.with_line_out(removed_line)
-    comps = reduced.connected_components()
-    if len(comps) > 1:
-        main = max(comps, key=len)
-        lost = sorted(set(b.id for b in reduced.buses) - main)
-        raise IslandingError(lost)
-    sol = solve_power_flow(reduced, gen_p, gen_v, warm_start=warm_start)
-    return compute_sensitivity(
-        reduced, sol, operating_point="perturbed", topology=f"removed:{removed_line}"
-    )

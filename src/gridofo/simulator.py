@@ -31,6 +31,7 @@ from .controls import (
 from .errors import (
     GridDataError,
     IslandingError,
+    OfoStepError,
     PowerFlowDivergenceError,
     SimulationBlowupError,
     VoltageCollapseProximityError,
@@ -102,18 +103,6 @@ class Trajectory:
     events: list[tuple[float, str]]
 
 
-def network_solve(ybus_dyn: np.ndarray, injections: np.ndarray) -> np.ndarray:
-    """Solve the linear network equation Y*V = i for the bus voltages."""
-    try:
-        V = np.linalg.solve(ybus_dyn, injections)
-    except np.linalg.LinAlgError:
-        raise IslandingError(()) from None
-    resid = np.max(np.abs(ybus_dyn @ V - injections))
-    if not np.isfinite(resid) or resid > 1e-10 * max(1.0, float(np.max(np.abs(injections)))):
-        raise IslandingError(())
-    return V
-
-
 class DynamicSimulation:
     """Owns the full mutable system state of one scenario run."""
 
@@ -137,13 +126,13 @@ class DynamicSimulation:
         V0 = sol0.v_complex
 
         # loads become constant impedances at the initial voltage profile
-        load = np.array([b.load_p + 1j * b.load_q for b in net.buses])
+        self._load = np.array([b.load_p + 1j * b.load_q for b in net.buses])
         self._v0_mag = np.abs(V0)
-        self.y_load = np.conj(load) / self._v0_mag ** 2
+        self.y_load = np.conj(self._load) / self._v0_mag ** 2
         self.y_int = 1.0 / (self.mach.R + 1j * self.mach.X_d_pp)
 
         s_inj = sol0.p_inj + 1j * sol0.q_inj
-        s_gen = s_inj[self.gen_idx] + load[self.gen_idx]
+        s_gen = s_inj[self.gen_idx] + self._load[self.gen_idx]
         self.x, self.p_m0, self.E_f0 = mc.init_from_power_flow(
             self.mach, V0[self.gen_idx], s_gen, self.omega_base
         )
@@ -158,26 +147,15 @@ class DynamicSimulation:
         self.p_m = self.p_m0.copy()
         self.E_f = self.E_f0.copy()
 
-        self.line_status = {ln.id: ln.in_service for ln in net.lines}
         self._sens_warm = sol0
         self.event_log: list[tuple[float, str]] = []
-        self._rebuild_network()
+        self._rebuild_network(net)
 
     # -- topology ------------------------------------------------------------
 
-    def current_net(self):
-        net = self.net
-        for lid, status in self.line_status.items():
-            if status != net.lines[net.line_index(lid)].in_service:
-                net = net.with_line_status(lid, status)
-        return net
-
-    def _rebuild_network(self):
-        net_now = self.current_net()
-        comps = net_now.connected_components()
-        if len(comps) > 1:
-            main = max(comps, key=len)
-            lost = sorted(set(b.id for b in net_now.buses) - main)
+    def _rebuild_network(self, net_now):
+        lost = net_now.islanded_buses()
+        if lost:
             raise IslandingError(lost)
         self._net_now = net_now
         Y = build_ybus(net_now).astype(complex)
@@ -187,10 +165,10 @@ class DynamicSimulation:
 
     def set_line_status(self, line_id: str, in_service: bool) -> bool:
         """Returns True when the status actually changed (trip is idempotent)."""
-        if self.line_status[line_id] == in_service:
+        net = self._net_now
+        if net.lines[net.line_index(line_id)].in_service == in_service:
             return False
-        self.line_status[line_id] = in_service
-        self._rebuild_network()
+        self._rebuild_network(net.with_line_status(line_id, in_service))
         return True
 
     # -- algebraic network and derivatives ----------------------------------
@@ -241,7 +219,7 @@ class DynamicSimulation:
         k3 = self._derivs(x + 0.5 * dt * k2)
         k4 = self._derivs(x + dt * k3)
         self.x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.max(np.abs(self.x)) > _BLOWUP_LIMIT:
+        if not np.all(np.abs(self.x) <= _BLOWUP_LIMIT):
             raise SimulationBlowupError("dynamic state exceeded blowup limit")
         return V0
 
@@ -262,9 +240,7 @@ class DynamicSimulation:
         if self.sensitivity_topology is not None:
             net = net.with_line_out(self.sensitivity_topology)
         if y_m is not None:
-            scale = (y_m.v / self._v0_mag) ** 2
-            load = np.array([b.load_p + 1j * b.load_q for b in self.net.buses])
-            scaled = load * scale
+            scaled = self._load * (y_m.v / self._v0_mag) ** 2
             net = net.with_bus_loads(scaled.real, scaled.imag)
         return net
 
@@ -273,10 +249,9 @@ class DynamicSimulation:
         model_net = self.controller_model_net(y_m)
         st = self.ofo_state
         try:
-            comps = model_net.connected_components()
-            if len(comps) > 1:
-                raise IslandingError(sorted(
-                    set(b.id for b in model_net.buses) - max(comps, key=len)))
+            lost = model_net.islanded_buses()
+            if lost:
+                raise IslandingError(lost)
             sol = None
             for warm in (self._sens_warm, None):
                 try:
@@ -301,13 +276,33 @@ class DynamicSimulation:
             # no trustworthy sensitivity at this instant: hold the input
             self.event_log.append((t, f"sensitivity update skipped: {exc}"))
             return
-        self.ofo_state = ofo_update(self.ofo_cfg, st, y_m, S)
+        try:
+            self.ofo_state = ofo_update(self.ofo_cfg, st, y_m, S)
+        except OfoStepError as exc:
+            self.event_log.append((t, f"set-point update skipped: {exc}"))
+
+
+def check_events(net, events: Sequence[Event]) -> None:
+    """Reject events that do not fit the grid: unknown lines, malformed inputs."""
+    n_u = 2 * net.n_gen
+    for ev in events:
+        if ev.kind in (LINE_TRIP, LINE_RECLOSE):
+            net.line_index(ev.line_id)
+        elif ev.kind == SET_INPUT:
+            try:
+                u = np.asarray(ev.u, dtype=float)
+            except (TypeError, ValueError):
+                u = None
+            if u is None or u.shape != (n_u,) or not np.all(np.isfinite(u)):
+                raise GridDataError(
+                    f"event at t={ev.time:g}: set_input u needs {n_u} finite entries")
 
 
 def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[OfoConfig],
                  sim_cfg: SimConfig,
                  sensitivity_topology: Optional[str] = None) -> Trajectory:
     """Run one closed-loop scenario and record the trajectory."""
+    check_events(grid.net, events)
     sim = DynamicSimulation(grid, ofo_cfg, sensitivity_topology)
     dt = sim_cfg.dt
     n_steps = int(round(sim_cfg.t_end / dt))

@@ -264,7 +264,7 @@ def test_8_deterministic_csv_output(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(["simulate", "--scenario", str(scen),
-                     "--out", str(out), "--seed", "11"])
+                     "--out", str(out)])
         assert code == 0
         outs.append((out / "trajectory.csv").read_bytes())
     ok = outs[0] == outs[1] and len(outs[0]) > 0

@@ -5,8 +5,20 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from gridofo.cli import EXIT_INPUT, EXIT_OK, main
+
+NAN = float("nan")
+# scenario edits that must be refused before the first step; 20 = 2 * n_gen
+BAD_SCENARIOS = {
+    "unknown_line": lambda doc: doc["events"][0].update(line_id="1-99"),
+    "nan_u": lambda doc: doc["events"].append(
+        {"time": 2.0, "kind": "set_input", "u": [NAN] * 20}),
+    "short_u": lambda doc: doc["events"].append(
+        {"time": 2.0, "kind": "set_input", "u": [0.0] * 3}),
+    "nan_p_max": lambda doc: doc["ofo"].update(p_max=NAN),
+}
 
 
 def short_scenario(tmp_path, t_end=12.0, with_reclose=False):
@@ -89,10 +101,8 @@ class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         scen = short_scenario(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--scenario", scen, "--out", str(out1),
-              "--seed", "7"])
-        main(["simulate", "--scenario", scen, "--out", str(out2),
-              "--seed", "7"])
+        main(["simulate", "--scenario", scen, "--out", str(out1)])
+        main(["simulate", "--scenario", scen, "--out", str(out2)])
         assert ((out1 / "trajectory.csv").read_bytes()
                 == (out2 / "trajectory.csv").read_bytes())
 
@@ -100,6 +110,19 @@ class TestSimulate:
         code = main(["simulate", "--scenario", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_bad_scenario_is_input_error(self, tmp_path, capsys, case):
+        path = short_scenario(tmp_path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        BAD_SCENARIOS[case](doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["simulate", "--scenario", path,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
 
 
 class TestRobustness:

@@ -177,11 +177,13 @@ class TestTopologyEdits:
     def test_components_detect_islands(self, grid):
         net = grid.net
         assert len(net.connected_components()) == 1
+        assert net.islanded_buses() == ()
         # bus 30 hangs on the single transformer 2-30
         cut = net.with_line_out("2-30")
         comps = cut.connected_components()
         assert len(comps) == 2
         assert {30} in comps
+        assert cut.islanded_buses() == (30,)
 
     def test_validation(self):
         with pytest.raises(GridDataError):

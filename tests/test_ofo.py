@@ -201,3 +201,10 @@ class TestDefaultConfig:
     def test_bound_ordering_enforced(self):
         with pytest.raises(GridDataError):
             small_config(v_min=np.full(2, 1.2))
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", np.nan), ("rho", np.inf), ("sampling_period", np.nan),
+        ("p_max", np.full(2, np.nan)), ("flow_max", np.full(2, np.inf))])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(GridDataError):
+            small_config(**{field: value})

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from gridofo.errors import GridDataError, IslandingError
+from gridofo import machines as mc
+from gridofo.errors import (
+    GridDataError,
+    IslandingError,
+    OfoStepError,
+    SimulationBlowupError,
+)
+from gridofo.ofo import ofo_update
+from gridofo.qp import MAX_ITER, QpSolution
+from gridofo.sensitivity import compute_sensitivity
 from gridofo.simulator import (
     DynamicSimulation,
     Event,
@@ -91,7 +100,10 @@ class TestIntegratorOrder:
     def test_blowup_guard(self, grid):
         sim = DynamicSimulation(grid)
         sim.x[:, 2] = 2e6
-        from gridofo.errors import SimulationBlowupError
+        with pytest.raises(SimulationBlowupError):
+            sim.step(5e-3)
+        sim = DynamicSimulation(grid)
+        sim.x[0, mc.OMEGA] = np.nan
         with pytest.raises(SimulationBlowupError):
             sim.step(5e-3)
 
@@ -110,6 +122,11 @@ class TestEvents:
         V1 = sim.bus_voltages()
         assert not sim.set_line_status("23-24", False)
         np.testing.assert_array_equal(sim.bus_voltages(), V1)
+
+    def test_unknown_line_rejected(self, grid):
+        sim = DynamicSimulation(grid)
+        with pytest.raises(GridDataError):
+            sim.set_line_status("1-99", False)
 
     def test_islanding_trip_raises(self, grid):
         sim = DynamicSimulation(grid)
@@ -191,3 +208,22 @@ class TestTrajectoryInvariants:
     def test_gap_reduction_after_activation(self, scenario_traj):
         i_on = np.searchsorted(scenario_traj.t, 5.0)
         assert scenario_traj.vgap[-1] < scenario_traj.vgap[i_on]
+
+
+class TestControllerUpdate:
+    def test_failed_projection_holds_input(self, grid, base_solution,
+                                            monkeypatch):
+        def stuck_qp(problem):
+            return QpSolution(w=np.zeros(problem.n),
+                              lam=np.zeros(problem.h_ineq.size),
+                              active_set=(), status=MAX_ITER)
+
+        monkeypatch.setattr("gridofo.ofo.qp_solve", stuck_qp)
+        sim = DynamicSimulation(grid)
+        u0 = sim.ofo_state.u.copy()
+        S = compute_sensitivity(grid.net, base_solution)
+        with pytest.raises(OfoStepError):
+            ofo_update(sim.ofo_cfg, sim.ofo_state, sim.measurement(0.0), S)
+        sim.controller_update(0.0)
+        np.testing.assert_array_equal(sim.ofo_state.u, u0)
+        assert any("set-point update skipped" in m for _, m in sim.event_log)
