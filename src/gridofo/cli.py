@@ -152,7 +152,7 @@ def cmd_robustness(args) -> int:
     grid = load_grid(args.grid)
     scen = load_scenario(args.scenario)
     # reject bad input here: a worker would report it as a failed member
-    check_events(grid.net, scen.events)
+    check_events(grid.net, scen.events, scen.sim)
     period = _ofo_config(grid.net, scen.ofo).sampling_period
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

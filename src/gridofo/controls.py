@@ -19,10 +19,18 @@ import numpy as np
 from .errors import GridDataError
 
 
-def _trapz_lag(x, u, T, dt):
-    """One trapezoidal step of x' = (u - x)/T with u frozen over the step."""
-    k = dt / (2.0 * T)
-    return ((1.0 - k) * x + 2.0 * k * u) / (1.0 + k)
+def _trapz_lag(x, u, coeffs):
+    """One trapezoidal step of x' = (u - x)/T with u frozen over the step.
+
+    `coeffs` is `_ParamSet.lag(T, dt)`: x+ = a*x + b*u.
+    """
+    a, b = coeffs
+    return a * x + b * u
+
+
+def _clip(x, lo, hi):
+    # cheaper than np.clip on fleet-sized arrays
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _leadlag_out(x, u, T_num, T_den):
@@ -114,6 +122,20 @@ class _ParamSet:
         self.n = len(self.params)
         for f in fields(self.cls):
             setattr(self, f.name, np.array([getattr(p, f.name) for p in self.params]))
+        self._lags: dict = {}
+
+    def lag(self, T: str, dt: float):
+        """Trapezoid coefficients (a, b) of the lag with time constant field T.
+
+        Computed once per (T, dt): x+ = a*x + b*u with k = dt/(2T),
+        a = (1 - k)/(1 + k) and b = 2k/(1 + k).
+        """
+        key = (T, dt)
+        coeffs = self._lags.get(key)
+        if coeffs is None:
+            k = dt / (2.0 * getattr(self, T))
+            coeffs = self._lags[key] = ((1.0 - k) / (1.0 + k), 2.0 * k / (1.0 + k))
+        return coeffs
 
 
 class GovernorSet(_ParamSet):
@@ -139,14 +161,14 @@ class GovernorState:
 
 
 def governor_init(p, p_m0) -> GovernorState:
-    x = np.clip(np.asarray(p_m0, dtype=float), p.V_min, p.V_max)
+    x = _clip(np.asarray(p_m0, dtype=float), p.V_min, p.V_max)
     return GovernorState(x_valve=x.copy(), x_turb=x.copy())
 
 
 def governor_step(p, s: GovernorState, delta_omega, p_m0, dt):
     u = p_m0 - delta_omega / p.R_g
-    x_valve = np.clip(_trapz_lag(s.x_valve, u, p.T_1, dt), p.V_min, p.V_max)
-    x_turb = _trapz_lag(s.x_turb, x_valve, p.T_3, dt)
+    x_valve = _clip(_trapz_lag(s.x_valve, u, p.lag("T_1", dt)), p.V_min, p.V_max)
+    x_turb = _trapz_lag(s.x_turb, x_valve, p.lag("T_3", dt))
     out = _leadlag_out(x_turb, x_valve, p.T_2, p.T_3) - p.D_t * delta_omega
     return GovernorState(x_valve, x_turb), out
 
@@ -163,14 +185,14 @@ class ExciterState:
 
 def exciter_init(p, E_f0) -> ExciterState:
     e0 = np.asarray(E_f0, dtype=float) / p.K_ex
-    return ExciterState(x_ll=e0.copy(), x_out=np.clip(E_f0, p.E_min, p.E_max))
+    return ExciterState(x_ll=e0.copy(), x_out=_clip(E_f0, p.E_min, p.E_max))
 
 
 def exciter_step(p, s: ExciterState, delta_v, v_pss, E_f0, dt):
     u = E_f0 / p.K_ex + delta_v + v_pss
-    x_ll = _trapz_lag(s.x_ll, u, p.T_b, dt)
+    x_ll = _trapz_lag(s.x_ll, u, p.lag("T_b", dt))
     mid = _leadlag_out(x_ll, u, p.T_a, p.T_b)
-    x_out = np.clip(_trapz_lag(s.x_out, p.K_ex * mid, p.T_e, dt), p.E_min, p.E_max)
+    x_out = _clip(_trapz_lag(s.x_out, p.K_ex * mid, p.lag("T_e", dt)), p.E_min, p.E_max)
     return ExciterState(x_ll, x_out), x_out
 
 
@@ -191,12 +213,12 @@ def pss_init(p, n: int) -> PssState:
 
 
 def pss_step(p, s: PssState, delta_omega, dt):
-    x_w = _trapz_lag(s.x_w, delta_omega, p.T, dt)
+    x_w = _trapz_lag(s.x_w, delta_omega, p.lag("T", dt))
     w_out = p.K_PSS * (delta_omega - x_w) / p.T
-    x_1 = _trapz_lag(s.x_1, w_out, p.T_3, dt)
+    x_1 = _trapz_lag(s.x_1, w_out, p.lag("T_3", dt))
     o_1 = _leadlag_out(x_1, w_out, p.T_1, p.T_3)
-    x_2 = _trapz_lag(s.x_2, o_1, p.T_4, dt)
-    out = np.clip(_leadlag_out(x_2, o_1, p.T_2, p.T_4), -p.H_lim, p.H_lim)
+    x_2 = _trapz_lag(s.x_2, o_1, p.lag("T_4", dt))
+    out = _clip(_leadlag_out(x_2, o_1, p.T_2, p.T_4), -p.H_lim, p.H_lim)
     return PssState(x_w, x_1, x_2), out
 
 
@@ -209,16 +231,20 @@ class AgcState:
     x_i: float = 0.0
 
 
-def average_frequency(delta_omegas, H, S) -> float:
-    """Inertia-weighted mean speed deviation over the fleet."""
-    dw = np.asarray(delta_omegas, dtype=float)
+def inertia_weights(H, S) -> np.ndarray:
+    """Normalized H*S weights of the fleet's average frequency (sum to 1)."""
     w = np.asarray(H, dtype=float) * np.asarray(S, dtype=float)
-    if dw.size == 0 or len(dw) != len(w):
-        raise GridDataError("average_frequency: empty or mismatched machine set")
+    if w.ndim != 1 or w.size == 0:
+        raise GridDataError("inertia_weights: empty machine set")
     total = w.sum()
-    if total <= 0:
-        raise GridDataError("average_frequency: total H*S must be positive")
-    return float(np.dot(dw, w) / total)
+    if not total > 0:
+        raise GridDataError("inertia_weights: total H*S must be positive")
+    return w / total
+
+
+def average_frequency(delta_omegas, weights) -> float:
+    """Inertia-weighted mean speed deviation; `weights` from inertia_weights."""
+    return float(np.dot(delta_omegas, weights))
 
 
 def agc_step(p: AgcParams, s: AgcState, avg_delta_omega: float, dt: float):

@@ -40,6 +40,10 @@ class SimulationBlowupError(GridOfoError):
     """A dynamic state left the physically meaningful range."""
 
 
+class NetworkSolveError(GridOfoError):
+    """The network solve of a topology is not finite or fails its residual check."""
+
+
 class VoltageCollapseProximityError(GridOfoError):
     """The power-flow Jacobian is singular at the operating point."""
 

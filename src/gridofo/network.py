@@ -125,6 +125,24 @@ class NetworkModel:
             object.__setattr__(self, "_bus_index_cache", cached)
         return cached
 
+    def _line_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """From/to bus indices, series and per-end shunt admittances per line.
+
+        Out-of-service lines get zero admittances, so their flows are zero.
+        """
+        cached = self.__dict__.get("_line_arrays_cache")
+        if cached is None:
+            n = self.n_line
+            f, t = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+            ys, ysh = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+            for k, ln in enumerate(self.lines):
+                f[k], t[k] = self.bus_index(ln.from_bus), self.bus_index(ln.to_bus)
+                if ln.in_service:
+                    ys[k], ysh[k] = line_admittances(ln)
+            cached = (f, t, ys, ysh)
+            object.__setattr__(self, "_line_arrays_cache", cached)
+        return cached
+
     def line_index(self, line_id: str) -> int:
         for i, ln in enumerate(self.lines):
             if ln.id == line_id:
@@ -256,16 +274,9 @@ def build_ybus(net: NetworkModel) -> np.ndarray:
 
 def line_flow_complex(net: NetworkModel, V: np.ndarray) -> np.ndarray:
     """From-end complex power of every line (zero when out of service)."""
-    S = np.zeros(net.n_line, dtype=complex)
-    for k, ln in enumerate(net.lines):
-        if not ln.in_service:
-            continue
-        ys, ysh = line_admittances(ln)
-        f = net.bus_index(ln.from_bus)
-        t = net.bus_index(ln.to_bus)
-        i_from = ys * (V[f] - V[t]) + ysh * V[f]
-        S[k] = V[f] * np.conj(i_from)
-    return S
+    f, t, ys, ysh = net._line_arrays()
+    v_from = V[f]
+    return v_from * np.conj(ys * (v_from - V[t]) + ysh * v_from)
 
 
 def extract_measurement(net, sol, t: float = 0.0) -> Measurement:

@@ -1,11 +1,16 @@
 """Fixed-step DAE simulation of the machine fleet coupled to the network.
 
-Machine ODEs advance with RK4; the network is solved algebraically (machines
-as Norton sources, loads as constant impedances) inside every derivative
-evaluation. Control blocks advance once per step with the trapezoidal rule,
-their inputs frozen over the step. A timed event engine applies line trips,
-recloses (optionally guarded by the breaker angle), controller activation
-and direct set-point overrides.
+Machine ODEs advance with RK4 against the algebraic network (machines as
+Norton sources, loads as constant impedances). The only current injections
+are at the generator internal nodes, so each topology's network is Kron
+reduced once, when it is built: the generator-bus voltages of a derivative
+evaluation are one n_gen x n_gen product with the subtransient EMFs, and the
+full bus voltages one n_bus x n_gen product, formed only at record and
+measurement instants. The machine right-hand side is one affine map of the state and
+the stator currents. Control blocks advance once per step with the
+trapezoidal rule, their inputs frozen over the step. A timed event engine
+applies line trips, recloses (optionally guarded by the breaker angle),
+controller activation and direct set-point overrides.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .controls import (
     exciter_step,
     governor_init,
     governor_step,
+    inertia_weights,
     pss_init,
     pss_step,
     AgcState,
@@ -31,6 +37,7 @@ from .controls import (
 from .errors import (
     GridDataError,
     IslandingError,
+    NetworkSolveError,
     OfoStepError,
     PowerFlowDivergenceError,
     SimulationBlowupError,
@@ -55,6 +62,8 @@ ACTIVATE_OFO = "activate_ofo"
 SET_INPUT = "set_input"
 
 _BLOWUP_LIMIT = 1e6
+# largest accepted relative residual of a topology's reduced network solve
+_SOLVE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,6 +126,8 @@ class DynamicSimulation:
         self.omega_base = 2 * np.pi * net.frequency
         self.gen_idx = net.gen_bus_indices
         self.ofo_cfg = ofo_cfg if ofo_cfg is not None else default_config(net)
+        if sensitivity_topology is not None:
+            net.line_index(sensitivity_topology)  # unknown ids fail here
         self.sensitivity_topology = sensitivity_topology
 
         gen_p0 = np.array([g.p_set for g in net.generators])
@@ -130,6 +141,8 @@ class DynamicSimulation:
         self._v0_mag = np.abs(V0)
         self.y_load = np.conj(self._load) / self._v0_mag ** 2
         self.y_int = 1.0 / (self.mach.R + 1j * self.mach.X_d_pp)
+        self._rhs_A, self._rhs_c = mc.affine_rhs(self.mach, self.omega_base)
+        self._freq_w = inertia_weights(self.mach.H, self.mach.S)
 
         s_inj = sol0.p_inj + 1j * sol0.q_inj
         s_gen = s_inj[self.gen_idx] + self._load[self.gen_idx]
@@ -154,14 +167,34 @@ class DynamicSimulation:
     # -- topology ------------------------------------------------------------
 
     def _rebuild_network(self, net_now):
+        """Kron-reduce the network of a topology onto the generator nodes.
+
+        The injections are y_int * E'' at the generator buses, so the bus
+        voltages are W @ E'' with W = inv(Y_dyn)[:, gen] * diag(y_int), and
+        the generator-bus voltages Z @ E'' with Z = W[gen].
+        """
         lost = net_now.islanded_buses()
         if lost:
             raise IslandingError(lost)
-        self._net_now = net_now
-        Y = build_ybus(net_now).astype(complex)
+        Y = build_ybus(net_now)
         Y[np.diag_indices_from(Y)] += self.y_load
         Y[self.gen_idx, self.gen_idx] += self.y_int
-        self._lu = lu_factor(Y)
+        B = np.zeros((net_now.n_bus, net_now.n_gen), dtype=complex)
+        B[self.gen_idx, np.arange(net_now.n_gen)] = self.y_int
+        # one single-RHS solve per column: a multi-RHS lu_solve wakes
+        # OpenBLAS' helper thread, which then spins in every pool worker;
+        # W itself is checked for finiteness below
+        lu = lu_factor(Y)
+        W = np.column_stack([lu_solve(lu, B[:, j], check_finite=False)
+                             for j in range(net_now.n_gen)])
+        resid = np.linalg.norm(Y @ W - B) / np.linalg.norm(B)
+        if not (np.isfinite(W).all() and resid <= _SOLVE_RTOL):
+            raise NetworkSolveError(
+                f"network solve residual {resid:.3e} above {_SOLVE_RTOL:g} "
+                "or not finite")
+        self._net_now = net_now
+        self._W = W
+        self._Z = W[self.gen_idx]
 
     def set_line_status(self, line_id: str, in_service: bool) -> bool:
         """Returns True when the status actually changed (trip is idempotent)."""
@@ -175,18 +208,26 @@ class DynamicSimulation:
 
     def bus_voltages(self, x: Optional[np.ndarray] = None) -> np.ndarray:
         x = self.x if x is None else x
-        inj = np.zeros(self.net.n_bus, dtype=complex)
-        inj[self.gen_idx] = mc.internal_emf(x) * self.y_int
-        return lu_solve(self._lu, inj)
+        return self._W @ mc.internal_emf(x)
 
     def _derivs(self, x: np.ndarray, V: Optional[np.ndarray] = None):
-        if V is None:
-            V = self.bus_voltages(x)
-        vg = V[self.gen_idx]
-        i_d, i_q = mc.dq_currents(self.mach, x, vg)
-        return mc.derivatives_given_currents(
-            self.mach, x, self.p_m, self.E_f, i_d, i_q, self.omega_base
-        )
+        """machine_derivatives of the fleet at state x, fused.
+
+        The generator-bus voltages come from the reduced network, or from
+        the bus voltages V when given.
+        """
+        omega = 1.0 + x[:, mc.OMEGA]
+        if not omega.min() > 0:  # also trips on NaN
+            raise SimulationBlowupError("rotor speed reached zero or is not finite")
+        rot = np.exp(1j * (x[:, mc.DELTA] - np.pi / 2))  # rotor to grid frame
+        e_dq = x[:, mc.ED_PP] + 1j * x[:, mc.EQ_PP]
+        vg = self._Z @ (e_dq * rot) if V is None else V[self.gen_idx]
+        # stator currents I_d + j I_q = (E''_dq - v_dq) / (R + j X_d'')
+        i_dq = self.y_int * (e_dq - vg * rot.conj())
+        p_e = (e_dq.conj() * i_dq).real  # E_d'' I_d + E_q'' I_q
+        z = np.concatenate((x.ravel(), i_dq.real, i_dq.imag,
+                            self.p_m / omega - p_e, self.E_f))
+        return (self._rhs_A @ z + self._rhs_c).reshape(x.shape)
 
     def electrical_power(self, x: Optional[np.ndarray] = None,
                          V: Optional[np.ndarray] = None) -> np.ndarray:
@@ -198,30 +239,29 @@ class DynamicSimulation:
 
     # -- time stepping -------------------------------------------------------
 
-    def step(self, dt: float) -> np.ndarray:
-        """Advance one step; returns the bus voltages at the step start."""
+    def step(self, dt: float) -> None:
+        """Advance one step."""
         x = self.x
-        V0 = self.bus_voltages(x)
         dw = x[:, mc.OMEGA]
 
         self.gov_state, p_gov = governor_step(
             self.grid.governors, self.gov_state, dw, self.p_m0, dt)
         self.pss_state, v_pss = pss_step(self.grid.pss, self.pss_state, dw, dt)
-        delta_v = self.ofo_state.v_ofo - np.abs(V0[self.gen_idx])
+        delta_v = self.ofo_state.v_ofo - np.abs(self._Z @ mc.internal_emf(x))
         self.exc_state, self.E_f = exciter_step(
             self.grid.exciters, self.exc_state, delta_v, v_pss, self.E_f0, dt)
-        avg_dw = average_frequency(dw, self.mach.H, self.mach.S)
+        avg_dw = average_frequency(dw, self._freq_w)
         self.agc_state, self.p_agc = agc_step(self.grid.agc, self.agc_state, avg_dw, dt)
         self.p_m = p_gov + self.ofo_state.p_ofo + self.p_agc
 
-        k1 = self._derivs(x, V0)
-        k2 = self._derivs(x + 0.5 * dt * k1)
-        k3 = self._derivs(x + 0.5 * dt * k2)
+        half = 0.5 * dt
+        k1 = self._derivs(x)
+        k2 = self._derivs(x + half * k1)
+        k3 = self._derivs(x + half * k2)
         k4 = self._derivs(x + dt * k3)
         self.x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.abs(self.x) <= _BLOWUP_LIMIT):
+        if not np.abs(self.x).max() <= _BLOWUP_LIMIT:  # also trips on NaN
             raise SimulationBlowupError("dynamic state exceeded blowup limit")
-        return V0
 
     def measurement(self, t: float) -> Measurement:
         return extract_measurement(self._net_now, self.bus_voltages(), t)
@@ -282,10 +322,22 @@ class DynamicSimulation:
             self.event_log.append((t, f"set-point update skipped: {exc}"))
 
 
-def check_events(net, events: Sequence[Event]) -> None:
-    """Reject events that do not fit the grid: unknown lines, malformed inputs."""
+def check_events(net, events: Sequence[Event], sim_cfg: SimConfig) -> None:
+    """Reject events that do not fit the grid or the time grid.
+
+    Unknown lines, malformed inputs, times between steps and times after the
+    last step are refused, instead of being moved or dropped.
+    """
     n_u = 2 * net.n_gen
+    last_step = round(sim_cfg.t_end / sim_cfg.dt)
     for ev in events:
+        k = ev.time / sim_cfg.dt
+        if not np.isfinite(k) or abs(k - round(k)) > 1e-9:
+            raise GridDataError(
+                f"event at t={ev.time:g}: not on the time grid (dt={sim_cfg.dt:g})")
+        if round(k) > last_step:
+            raise GridDataError(
+                f"event at t={ev.time:g}: after t_end={sim_cfg.t_end:g}")
         if ev.kind in (LINE_TRIP, LINE_RECLOSE):
             net.line_index(ev.line_id)
         elif ev.kind == SET_INPUT:
@@ -302,7 +354,7 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
                  sim_cfg: SimConfig,
                  sensitivity_topology: Optional[str] = None) -> Trajectory:
     """Run one closed-loop scenario and record the trajectory."""
-    check_events(grid.net, events)
+    check_events(grid.net, events, sim_cfg)
     sim = DynamicSimulation(grid, ofo_cfg, sensitivity_topology)
     dt = sim_cfg.dt
     n_steps = int(round(sim_cfg.t_end / dt))

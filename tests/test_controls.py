@@ -25,6 +25,7 @@ from gridofo.controls import (
     exciter_step,
     governor_init,
     governor_step,
+    inertia_weights,
     pss_init,
     pss_step,
 )
@@ -215,8 +216,14 @@ class TestAgc:
 
     def test_average_frequency_weighting(self):
         dw = [0.01, -0.01]
-        assert average_frequency(dw, [5.0, 5.0], [1.0, 1.0]) == pytest.approx(0.0)
-        assert average_frequency(dw, [9.0, 1.0], [1.0, 1.0]) == pytest.approx(0.008)
+        w = inertia_weights([5.0, 5.0], [1.0, 1.0])
+        assert average_frequency(dw, w) == pytest.approx(0.0)
+        w = inertia_weights([9.0, 1.0], [1.0, 1.0])
+        assert average_frequency(dw, w) == pytest.approx(0.008)
+        np.testing.assert_allclose(inertia_weights([3.0, 1.0], [1.0, 2.0]),
+                                   [0.6, 0.4])
+        with pytest.raises(GridDataError):
+            inertia_weights([], [])
 
     def test_participation_validation(self):
         with pytest.raises(GridDataError):

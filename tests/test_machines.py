@@ -13,6 +13,7 @@ from gridofo.machines import (
     OMEGA,
     MachineParams,
     MachineSet,
+    affine_rhs,
     dq_currents,
     electrical_power,
     init_from_power_flow,
@@ -182,6 +183,29 @@ class TestInitialization:
         d, q = to_dq(e, state[DELTA])
         assert d == pytest.approx(state[ED_PP])
         assert q == pytest.approx(state[EQ_PP])
+
+
+class TestAffineRhs:
+    def test_matches_reference_derivatives(self):
+        """The affine map reproduces machine_derivatives on random states."""
+        fleet = MachineSet([make_machine(name="A", H=3.0, D=2.0),
+                            make_machine(name="B", R=0.0, X_q_pp=0.15),
+                            make_machine(name="C", T_q0_pp=0.07)])
+        rng = np.random.default_rng(11)
+        A, c = affine_rhs(fleet, OMEGA_BASE)
+        assert A.shape == (18, 30)
+        for _ in range(10):
+            state = rng.normal(size=(3, 6))
+            state[:, OMEGA] *= 0.01
+            v = rng.uniform(0.9, 1.1, 3) * np.exp(1j * rng.uniform(-1, 1, 3))
+            p_m = rng.uniform(0.2, 1.0, 3)
+            E_f = rng.uniform(1.0, 3.0, 3)
+            i_d, i_q = dq_currents(fleet, state, v)
+            tau = p_m / (1.0 + state[:, OMEGA]) - electrical_power(state, i_d, i_q)
+            z = np.concatenate([state.ravel(), i_d, i_q, tau, E_f])
+            want = machine_derivatives(fleet, state, p_m, E_f, v, OMEGA_BASE)
+            np.testing.assert_allclose((A @ z + c).reshape(3, 6), want,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestValidation:

@@ -16,6 +16,7 @@ from gridofo.network import (
     build_ybus,
     complex_voltage_gap,
     extract_measurement,
+    line_admittances,
     line_flow_complex,
     solve_power_flow,
 )
@@ -143,6 +144,21 @@ class TestMeasurement:
     def test_flows_nonnegative(self, grid, base_solution):
         m = extract_measurement(grid.net, base_solution)
         assert np.all(m.flows >= 0.0)
+
+    def test_flows_match_per_line_formula(self, grid):
+        net = grid.net.with_line_out("23-24")
+        rng = np.random.default_rng(3)
+        V = (rng.uniform(0.9, 1.1, net.n_bus)
+             * np.exp(1j * rng.uniform(-0.5, 0.5, net.n_bus)))
+        want = np.zeros(net.n_line, dtype=complex)
+        for k, ln in enumerate(net.lines):
+            if ln.in_service:
+                ys, ysh = line_admittances(ln)
+                f, t = net.bus_index(ln.from_bus), net.bus_index(ln.to_bus)
+                want[k] = V[f] * np.conj(ys * (V[f] - V[t]) + ysh * V[f])
+        got = line_flow_complex(net, V)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert got[net.line_index("23-24")] == 0
 
     def test_gap_identity(self, grid, base_solution):
         m = extract_measurement(grid.net, base_solution)

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_solve
 
 from gridofo import machines as mc
+from gridofo.dataio import bundled_path, load_scenario
 from gridofo.errors import (
     GridDataError,
     IslandingError,
+    NetworkSolveError,
     OfoStepError,
     SimulationBlowupError,
 )
+from gridofo.network import build_ybus
 from gridofo.ofo import ofo_update
 from gridofo.qp import MAX_ITER, QpSolution
 from gridofo.sensitivity import compute_sensitivity
@@ -48,6 +52,63 @@ class TestInitialization:
         sim = DynamicSimulation(grid)
         d = sim._derivs(sim.x)
         assert np.max(np.abs(d)) < 1e-9
+
+    def test_unknown_sensitivity_topology_rejected(self, grid):
+        with pytest.raises(GridDataError):
+            DynamicSimulation(grid, sensitivity_topology="1-99")
+
+    @pytest.mark.parametrize("bad_solve", [
+        lambda lu, b, **kw: np.full_like(b, np.nan),
+        lambda lu, b, **kw: 1.001 * lu_solve(lu, b),
+    ], ids=["nan", "inaccurate"])
+    def test_network_solve_checked(self, grid, monkeypatch, bad_solve):
+        """A non-finite or inaccurate reduction is a numerical failure (exit 2)."""
+        monkeypatch.setattr("gridofo.simulator.lu_solve", bad_solve)
+        with pytest.raises(NetworkSolveError):
+            DynamicSimulation(grid)
+        assert not issubclass(NetworkSolveError, GridDataError)
+
+
+def full_network(sim, x):
+    """Bus voltages and machine derivatives from a dense 39-bus solve."""
+    gen = sim.gen_idx
+    Y = build_ybus(sim._net_now)
+    Y[np.diag_indices_from(Y)] += sim.y_load
+    Y[gen, gen] += sim.y_int
+    inj = np.zeros(Y.shape[0], dtype=complex)
+    inj[gen] = mc.internal_emf(x) * sim.y_int
+    V = np.linalg.solve(Y, inj)
+    d = mc.machine_derivatives(sim.mach, x, sim.p_m, sim.E_f, V[gen],
+                               sim.omega_base)
+    return V, d
+
+
+class TestKronReduction:
+    def test_matches_full_network(self, grid):
+        """Reduced voltages and the fused right-hand side agree with the full
+        network and machine_derivatives at 1e-10, relative to the largest
+        reference entry (at least 1), before the trip, after it, and after
+        the reclose of the bundled scenario's line."""
+        scen = load_scenario(bundled_path("scenario_reclose.json"))
+        line = next(ev.line_id for ev in scen.events if ev.kind == "line_trip")
+        sim = DynamicSimulation(grid)
+        dt = 5e-3
+
+        def advance_and_check(seconds):
+            for _ in range(round(seconds / dt)):
+                sim.step(dt)
+            V_ref, d_ref = full_network(sim, sim.x)
+            for got, want in ((sim.bus_voltages(), V_ref),
+                              (sim._derivs(sim.x), d_ref),
+                              (sim._derivs(sim.x, V_ref), d_ref)):
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+        advance_and_check(0.5)
+        sim.set_line_status(line, False)
+        advance_and_check(1.0)
+        sim.set_line_status(line, True)
+        advance_and_check(0.5)
 
 
 class TestEquilibriumHold:
@@ -104,6 +165,10 @@ class TestIntegratorOrder:
             sim.step(5e-3)
         sim = DynamicSimulation(grid)
         sim.x[0, mc.OMEGA] = np.nan
+        with pytest.raises(SimulationBlowupError):
+            sim.step(5e-3)
+        sim = DynamicSimulation(grid)
+        sim.x[0, mc.EQ_P] = np.nan
         with pytest.raises(SimulationBlowupError):
             sim.step(5e-3)
 
