@@ -16,7 +16,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITER = "max_iter"
 
-_FEAS_TOL = 1e-10
+_FEAS_TOL = 1e-10  # feasibility tolerance relative to the row's magnitude
 _DEP_TOL = 1e-12  # linear-independence tolerance for active normals
 
 
@@ -87,6 +87,10 @@ def qp_solve(p: QpProblem) -> QpSolution:
     max_iter = 10 * (n + m)
 
     G, h = p.G_ineq, p.h_ineq
+    # a row counts as violated only beyond the rounding error of G_i w,
+    # which grows with |G_i| |w| when ill-conditioned rows drive w large
+    tol_h = _FEAS_TOL * (1.0 + np.abs(h))
+    tol_w = _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", G, G))
     w = -p.g.copy()
     lam_full = np.zeros(m)
     active: list[int] = []
@@ -94,8 +98,9 @@ def qp_solve(p: QpProblem) -> QpSolution:
     iters = 0
     while iters < max_iter:
         iters += 1
-        slack = G @ w - h if m else np.zeros(0)
-        if m == 0 or np.max(slack) <= _FEAS_TOL:
+        tol = tol_h + tol_w * np.abs(w).max(initial=0.0)
+        slack = G @ w - h - tol if m else np.zeros(0)
+        if m == 0 or np.max(slack) <= 0.0:
             # internal multipliers follow the (1/2)||w+g||^2 convention; the
             # reported ones certify the documented ||w+g||^2 objective
             return QpSolution(
@@ -111,7 +116,12 @@ def qp_solve(p: QpProblem) -> QpSolution:
             N = G[active].T if active else np.zeros((n, 0))
             z, r = _dual_direction(N, n_p)
             s_p = float(n_p @ w - h[pick])
-            if s_p <= _FEAS_TOL:
+            if s_p <= tol[pick]:
+                # a partial step that ties with the full one leaves `pick`
+                # tight with a positive multiplier: it must join the active
+                # set, or that multiplier is never updated again
+                if lam_full[pick] > 0.0:
+                    active.append(pick)
                 break
 
             zz = float(z @ z)
@@ -136,11 +146,14 @@ def qp_solve(p: QpProblem) -> QpSolution:
                 )
 
             t = min(t_full, t_block)
-            if np.isfinite(t_full) or t > 0:
+            if np.isfinite(t_full):
                 w -= t * z
-                for j, idx in enumerate(active):
-                    lam_full[idx] -= t * r[j]
-                lam_full[pick] += t
+            # a dependent normal (z taken as zero) moves only the multipliers:
+            # stepping w along its rounding residue would scale that residue
+            # by the possibly huge dual step
+            for j, idx in enumerate(active):
+                lam_full[idx] -= t * r[j]
+            lam_full[pick] += t
 
             if t_full <= t_block:
                 active.append(pick)

@@ -86,6 +86,56 @@ class TestAgainstBruteForce:
         assert max(res.values()) <= 1e-8
 
 
+class TestIllConditioned:
+    """Counterexamples the property tests below once found, kept as fixed
+    cases so a regression shows on every run rather than by chance."""
+
+    def test_rounding_slack_on_active_row_is_not_a_violation(self):
+        # a 2^-23 row drives |w| to ~3e7; the other active row then shows a
+        # rounding slack of ~1e-9 that must not re-enter the iteration
+        p = QpProblem(g=np.zeros(3),
+                      G_ineq=np.array([[0.0, 0.0, 0.0], [2.0**-23, 0.0, 0.0],
+                                       [-3.0, 0.0, 0.875]]),
+                      h_ineq=np.array([0.0, -1.0, 0.0]))
+        sol = qp_solve(p)
+        assert sol.status == OPTIMAL
+        assert sol.active_set == (1, 2)
+        np.testing.assert_allclose(sol.w, [-2.0**23, 0.0, -3.0 * 2.0**23 / 0.875],
+                                   rtol=1e-12)
+        assert kkt_residuals(p, sol)["stationarity"] <= 1e-7
+
+    def test_dependent_normal_moves_only_multipliers(self):
+        # w_0 <= 0 duplicates the active -3 w_0 <= 0; stepping w along the
+        # rounding residue of its projection used to throw w off by ~1e9
+        p = QpProblem(g=np.zeros(2),
+                      G_ineq=np.array([[0.0, 0.0], [1.0, 0.0], [2.0**-24, 1e-8],
+                                       [-3.0, 0.0]]),
+                      h_ineq=np.array([0.0, 0.0, -1.0, 0.0]))
+        sol = qp_solve(p)
+        assert sol.status == OPTIMAL
+        np.testing.assert_allclose(sol.w, [0.0, -1e8], rtol=1e-12, atol=1e-6)
+        assert kkt_residuals(p, sol)["stationarity"] <= 1e-6
+
+    def test_tiny_row_infeasibility_still_detected(self):
+        p = QpProblem(g=np.zeros(2),
+                      G_ineq=np.array([[0.0, -1.0], [1.0, 1.0], [-4.35737151e-21, 0.0]]),
+                      h_ineq=np.array([0.0, 0.0, -1.0]))
+        assert qp_solve(p).status == INFEASIBLE
+
+    def test_tied_partial_step_keeps_complementarity(self):
+        # the full and the blocking step tie on row 2; its multiplier must
+        # not be stranded outside the active set
+        p = QpProblem(g=np.array([-3.0, 0.0, 0.0]),
+                      G_ineq=np.array([[0.0, 0.0, 0.0], [0.0, -0.5, 0.0],
+                                       [2.0, 0.0, 0.0], [3.0, 2.0, 0.0]]),
+                      h_ineq=np.array([0.0, -1.0, 0.0, 0.0]))
+        sol = qp_solve(p)
+        assert sol.status == OPTIMAL
+        assert sol.active_set == (1, 3)
+        np.testing.assert_allclose(sol.w, [-4.0 / 3.0, 2.0, 0.0], atol=1e-12)
+        assert max(kkt_residuals(p, sol).values()) <= 1e-12
+
+
 @st.composite
 def qp_problems(draw):
     n = draw(st.integers(1, 4))
