@@ -49,4 +49,5 @@ class VoltageCollapseProximityError(GridOfoError):
 
 
 class OfoStepError(GridOfoError):
-    """The controller's projection QP gave no optimal step, even softened."""
+    """The controller's projection QP has non-finite data or gave no optimal
+    step, even softened."""

@@ -6,8 +6,10 @@ single state or stacked parameter/state arrays for a whole machine fleet.
 
 Frame convention: a network phasor F maps into the rotor frame as
 ``F * exp(-1j*(delta - pi/2))`` whose real and imaginary parts are the d- and
-q-components. With this choice the Norton source current of a machine equals
-``-(E_d''/X_d'' + 1j*E_q''/X_q'') * exp(1j*delta)``.
+q-components. With this choice the stator current of a machine, as a network
+phasor, is ``y_int * (internal_emf(state) - v_bus)`` with
+``y_int = 1 / (R + 1j*X_d'')``, so the network sees the machine as a Norton
+source ``y_int * internal_emf(state)`` behind the admittance ``y_int``.
 """
 
 from __future__ import annotations
@@ -113,13 +115,6 @@ def internal_emf(state):
     """Subtransient EMF as a network phasor, (E_d'' + j E_q'') rotated to grid frame."""
     state = np.asarray(state)
     return (state[..., EQ_PP] - 1j * state[..., ED_PP]) * np.exp(1j * state[..., DELTA])
-
-
-def injected_current(p, state):
-    """Norton source current: -(E_d''/X_d'' + j E_q''/X_q'') * exp(j*delta)."""
-    state = np.asarray(state)
-    return -(state[..., ED_PP] / p.X_d_pp
-             + 1j * state[..., EQ_PP] / p.X_q_pp) * np.exp(1j * state[..., DELTA])
 
 
 def machine_derivatives(p, state, p_m, E_f, v_bus, omega_base: float):

@@ -3,11 +3,18 @@
 All quantities are in per-unit on the system base. Line flows are reported
 as apparent-power magnitudes at the from-end; their lower bound is zero by
 construction, so flow limits are one-sided caps.
+
+A line enters every network computation through `NetworkModel.branches`:
+from/to bus indices and series/shunt admittances, zero for a line out of
+service. The Y-bus, the line flows and their partials (in `sensitivity`)
+are vectorized over those arrays, and `pf_jacobian` is the one Newton
+Jacobian, shared by the power flow and the sensitivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +31,12 @@ PQ = "PQ"
 
 _PF_TOL = 1e-10  # largest accepted P/Q mismatch, p.u.
 _PF_MAX_ITER = 50
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array cached on a model read-only, so no caller can edit the cache."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -113,35 +126,30 @@ class NetworkModel:
 
     def bus_index(self, bus_id: int) -> int:
         try:
-            return self._bus_index()[bus_id]
+            return self._bus_index[bus_id]
         except KeyError:
             raise GridDataError(f"unknown bus id {bus_id}") from None
 
+    @cached_property
     def _bus_index(self) -> dict[int, int]:
-        # frozen dataclass: cache on the instance dict via object.__setattr__
-        cached = self.__dict__.get("_bus_index_cache")
-        if cached is None:
-            cached = {b.id: i for i, b in enumerate(self.buses)}
-            object.__setattr__(self, "_bus_index_cache", cached)
-        return cached
+        return {b.id: i for i, b in enumerate(self.buses)}
 
-    def _line_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """From/to bus indices, series and per-end shunt admittances per line.
+    @cached_property
+    def branches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(f, t, ys, ysh) per line: from/to bus index, series admittance and
+        per-end shunt admittance, cached read-only.
 
-        Out-of-service lines get zero admittances, so their flows are zero.
+        A line out of service keeps its bus indices but has zero admittances,
+        so it stamps nothing into the Y-bus and carries no flow.
         """
-        cached = self.__dict__.get("_line_arrays_cache")
-        if cached is None:
-            n = self.n_line
-            f, t = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-            ys, ysh = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-            for k, ln in enumerate(self.lines):
-                f[k], t[k] = self.bus_index(ln.from_bus), self.bus_index(ln.to_bus)
-                if ln.in_service:
-                    ys[k], ysh[k] = line_admittances(ln)
-            cached = (f, t, ys, ysh)
-            object.__setattr__(self, "_line_arrays_cache", cached)
-        return cached
+        n = self.n_line
+        f, t = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        ys, ysh = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        for k, ln in enumerate(self.lines):
+            f[k], t[k] = self.bus_index(ln.from_bus), self.bus_index(ln.to_bus)
+            if ln.in_service:
+                ys[k], ysh[k] = line_admittances(ln)
+        return tuple(map(_read_only, (f, t, ys, ysh)))
 
     def line_index(self, line_id: str) -> int:
         for i, ln in enumerate(self.lines):
@@ -153,9 +161,11 @@ class NetworkModel:
     def slack_index(self) -> int:
         return next(i for i, b in enumerate(self.buses) if b.kind == SLACK)
 
-    @property
+    @cached_property
     def gen_bus_indices(self) -> np.ndarray:
-        return np.array([self.bus_index(g.bus) for g in self.generators])
+        """Bus index of every generator, cached read-only."""
+        return _read_only(np.array([self.bus_index(g.bus) for g in self.generators],
+                                   dtype=int))
 
     @property
     def monitored_indices(self) -> tuple[int, int]:
@@ -255,26 +265,16 @@ def line_admittances(line: Line) -> tuple[complex, complex]:
 
 def build_ybus(net: NetworkModel) -> np.ndarray:
     """Complex bus-admittance matrix; out-of-service lines contribute nothing."""
-    n = net.n_bus
-    Y = np.zeros((n, n), dtype=complex)
-    for ln in net.lines:
-        if not ln.in_service:
-            continue
-        ys, ysh = line_admittances(ln)
-        f = net.bus_index(ln.from_bus)
-        t = net.bus_index(ln.to_bus)
-        Y[f, f] += ys + ysh
-        Y[t, t] += ys + ysh
-        Y[f, t] -= ys
-        Y[t, f] -= ys
-    for i, b in enumerate(net.buses):
-        Y[i, i] += 1j * b.shunt_b
+    f, t, ys, ysh = net.branches
+    Y = np.diag(1j * np.array([b.shunt_b for b in net.buses]))
+    np.add.at(Y, (np.concatenate([f, t, f, t]), np.concatenate([f, t, t, f])),
+              np.concatenate([ys + ysh, ys + ysh, -ys, -ys]))
     return Y
 
 
 def line_flow_complex(net: NetworkModel, V: np.ndarray) -> np.ndarray:
     """From-end complex power of every line (zero when out of service)."""
-    f, t, ys, ysh = net._line_arrays()
+    f, t, ys, ysh = net.branches
     v_from = V[f]
     return v_from * np.conj(ys * (v_from - V[t]) + ysh * v_from)
 
@@ -310,26 +310,30 @@ def complex_voltage_gap(m: Measurement) -> float:
 # Newton-Raphson power flow
 # ---------------------------------------------------------------------------
 
-def dSbus_dV(Y: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of complex bus injections w.r.t. angle and magnitude."""
+def pf_jacobian(Y: np.ndarray, V: np.ndarray, ang_idx: np.ndarray,
+                mag_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton Jacobian of the polar mismatch [P[ang_idx]; Q[mag_idx]].
+
+    Returns J, the partials of the mismatch in [theta[ang_idx]; |V|[mag_idx]],
+    and dF_dVm, the partials of the same mismatch rows in every bus voltage
+    magnitude (shape (len(J), n_bus)), whose columns at regulated buses are
+    the voltage set-point partials. The complex injection partials are
+    MATPOWER's dense formulas (Zimmerman et al., IEEE TPWRS 2011), broadcast.
+    """
     I = Y @ V
-    dV = np.diag(V)
-    dI = np.diag(I)
-    Vnorm = V / np.abs(V)
-    dS_dVa = 1j * dV @ np.conj(dI - Y @ dV)
-    dS_dVm = dV @ np.conj(Y @ np.diag(Vnorm)) + np.conj(dI) @ np.diag(Vnorm)
-    return dS_dVa, dS_dVm
+    v_unit = V / np.abs(V)
+    dS_dVa = 1j * V[:, None] * np.conj(np.diag(I) - Y * V)
+    dS_dVm = V[:, None] * np.conj(Y * v_unit) + np.diag(np.conj(I) * v_unit)
+    dF_dVa, dF_dVm = (np.vstack([d[ang_idx].real, d[mag_idx].imag])
+                      for d in (dS_dVa, dS_dVm))
+    return np.hstack([dF_dVa[:, ang_idx], dF_dVm[:, mag_idx]]), dF_dVm
 
 
-def _bus_partitions(net: NetworkModel) -> tuple[int, np.ndarray, np.ndarray]:
-    slack = net.slack_index
-    pv, pq = [], []
-    for i, b in enumerate(net.buses):
-        if b.kind == PV:
-            pv.append(i)
-        elif b.kind == PQ:
-            pq.append(i)
-    return slack, np.array(pv, dtype=int), np.array(pq, dtype=int)
+def _newton_indices(net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """Buses whose angle (PV and PQ) and whose magnitude (PQ) are unknowns."""
+    kinds = np.array([b.kind for b in net.buses])
+    pv, pq = np.flatnonzero(kinds == PV), np.flatnonzero(kinds == PQ)
+    return np.concatenate([pv, pq]), pq
 
 
 def specified_injections(
@@ -338,8 +342,7 @@ def specified_injections(
     """Scheduled net P and Q injection per bus (generation minus load)."""
     P = np.array([-b.load_p for b in net.buses], dtype=float)
     Q = np.array([-b.load_q for b in net.buses], dtype=float)
-    for g, p in zip(net.generators, gen_p):
-        P[net.bus_index(g.bus)] += p
+    np.add.at(P, net.gen_bus_indices, np.asarray(gen_p, dtype=float))
     return P, Q
 
 
@@ -358,20 +361,17 @@ def solve_power_flow(
         raise GridDataError("gen_p/gen_v must be dimensioned to the generators")
     n = net.n_bus
     Y = build_ybus(net)
-    slack, pv, pq = _bus_partitions(net)
+    ang_idx, mag_idx = _newton_indices(net)
 
     vm = np.ones(n)
     va = np.zeros(n)
     if warm_start is not None:
         vm = warm_start.v.copy()
         va = warm_start.theta.copy()
-    for g, v in zip(net.generators, gen_v):
-        vm[net.bus_index(g.bus)] = v
-    va -= va[slack]
+    vm[net.gen_bus_indices] = gen_v
+    va -= va[net.slack_index]
 
     P_spec, Q_spec = specified_injections(net, gen_p)
-    ang_idx = np.concatenate([pv, pq])
-    mag_idx = pq
 
     residual = np.inf
     for it in range(_PF_MAX_ITER + 1):
@@ -388,12 +388,7 @@ def solve_power_flow(
             )
         if it == _PF_MAX_ITER:
             break
-        dS_dVa, dS_dVm = dSbus_dV(Y, V)
-        J11 = dS_dVa[np.ix_(ang_idx, ang_idx)].real
-        J12 = dS_dVm[np.ix_(ang_idx, mag_idx)].real
-        J21 = dS_dVa[np.ix_(mag_idx, ang_idx)].imag
-        J22 = dS_dVm[np.ix_(mag_idx, mag_idx)].imag
-        J = np.block([[J11, J12], [J21, J22]])
+        J, _ = pf_jacobian(Y, V, ang_idx, mag_idx)
         try:
             dx = np.linalg.solve(J, -mism)
         except np.linalg.LinAlgError:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridDataError, OfoStepError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITER = "max_iter"
@@ -30,12 +32,14 @@ class QpProblem:
 
     def __post_init__(self):
         g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        G = np.asarray(self.G_ineq, dtype=float).reshape(-1, g.size)
+        G = np.asarray(self.G_ineq, dtype=float)
         h = np.atleast_1d(np.asarray(self.h_ineq, dtype=float))
-        if G.shape[0] != h.size:
-            raise ValueError("G_ineq and h_ineq row counts differ")
+        if G.size == 0:
+            G = G.reshape(0, g.size)
+        if G.shape != (h.size, g.size):
+            raise GridDataError("G_ineq must be len(h_ineq) rows by len(g) columns")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
-            raise ValueError("QP data must be finite")
+            raise OfoStepError("QP data must be finite")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "G_ineq", G)
         object.__setattr__(self, "h_ineq", h)

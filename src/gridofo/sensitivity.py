@@ -5,7 +5,9 @@ generator]; the output is the measurement vector [bus voltage magnitudes,
 line apparent-power flows, monitored angle difference]. Sensitivities come
 from implicit differentiation of the Newton-Raphson mismatch equations:
 perturbations of PV-bus P and V propagate through the power-flow Jacobian
-into all angles and magnitudes, then chain-rule into flows and the angle gap.
+(`network.pf_jacobian`, the one the Newton iteration uses) into all angles
+and magnitudes, then chain-rule into flows and the angle gap. The flow
+partials are vectorized over the network's branch arrays.
 
 Slack treatment: P perturbations at the slack generator have no steady-state
 effect (the slack absorbs them), so that column is zero; the controller's
@@ -22,10 +24,9 @@ from .errors import VoltageCollapseProximityError
 from .network import (
     NetworkModel,
     PowerFlowSolution,
-    _bus_partitions,
+    _newton_indices,
     build_ybus,
-    dSbus_dV,
-    line_admittances,
+    pf_jacobian,
 )
 
 
@@ -48,36 +49,26 @@ def _flow_partials(net: NetworkModel, V: np.ndarray):
     Returns (dl_dva, dl_dvm) of shape (n_line, n_bus); rows of out-of-service
     or unloaded lines are zero (the magnitude is non-differentiable at 0).
     """
-    n = net.n_bus
-    dl_dva = np.zeros((net.n_line, n))
-    dl_dvm = np.zeros((net.n_line, n))
-    vm = np.abs(V)
-    for k, ln in enumerate(net.lines):
-        if not ln.in_service:
-            continue
-        ys, ysh = line_admittances(ln)
-        f = net.bus_index(ln.from_bus)
-        t = net.bus_index(ln.to_bus)
-        i_from = ys * (V[f] - V[t]) + ysh * V[f]
-        S = V[f] * np.conj(i_from)
-        mag = abs(S)
-        if mag < 1e-9:
-            continue
-        # dS/dz = (dVf/dz) conj(i_from) + Vf conj(di_from/dz)
-        for bus, dVf, dVt in (
-            (f, 1j * V[f], 0.0),
-            (t, 0.0, 1j * V[t]),
-        ):
-            dI = ys * (dVf - dVt) + ysh * dVf
-            dS = dVf * np.conj(i_from) + V[f] * np.conj(dI)
-            dl_dva[k, bus] = (S.real * dS.real + S.imag * dS.imag) / mag
-        for bus, dVf, dVt in (
-            (f, V[f] / vm[f], 0.0),
-            (t, 0.0, V[t] / vm[t]),
-        ):
-            dI = ys * (dVf - dVt) + ysh * dVf
-            dS = dVf * np.conj(i_from) + V[f] * np.conj(dI)
-            dl_dvm[k, bus] = (S.real * dS.real + S.imag * dS.imag) / mag
+    f, t, ys, ysh = net.branches
+    v_f, v_t = V[f], V[t]
+    i_from = ys * (v_f - v_t) + ysh * v_f
+    S = v_f * np.conj(i_from)
+    mag = np.abs(S)
+    live = mag >= 1e-9  # out-of-service lines have S == 0
+
+    def partial(dv_f, dv_t):
+        # d|S|/dz = Re(conj(S) dS/dz) / |S|, dS/dz = dVf conj(i_from) + Vf conj(di_from)
+        dS = dv_f * np.conj(i_from) + v_f * np.conj(ys * (dv_f - dv_t) + ysh * dv_f)
+        return np.divide((np.conj(S) * dS).real, mag, out=np.zeros(mag.size), where=live)
+
+    zero = np.zeros_like(v_f)
+    rows = np.arange(net.n_line)
+    dl_dva = np.zeros((net.n_line, net.n_bus))
+    dl_dvm = np.zeros((net.n_line, net.n_bus))
+    dl_dva[rows, f] = partial(1j * v_f, zero)
+    dl_dva[rows, t] = partial(zero, 1j * v_t)
+    dl_dvm[rows, f] = partial(v_f / np.abs(v_f), zero)
+    dl_dvm[rows, t] = partial(zero, v_t / np.abs(v_t))
     return dl_dva, dl_dvm
 
 
@@ -90,35 +81,23 @@ def compute_sensitivity(
     """Sensitivity of [v, flows, delta_theta] to [p set-points, v set-points]."""
     n = net.n_bus
     n_gen = net.n_gen
-    Y = build_ybus(net)
-    slack, pv, pq = _bus_partitions(net)
-    ang_idx = np.concatenate([pv, pq])
-    mag_idx = pq
-    V = op.v_complex
-
-    dS_dVa, dS_dVm = dSbus_dV(Y, V)
-    J = np.block([
-        [dS_dVa[np.ix_(ang_idx, ang_idx)].real, dS_dVm[np.ix_(ang_idx, mag_idx)].real],
-        [dS_dVa[np.ix_(mag_idx, ang_idx)].imag, dS_dVm[np.ix_(mag_idx, mag_idx)].imag],
-    ])
+    ang_idx, mag_idx = _newton_indices(net)
     n_ang = len(ang_idx)
-    n_unk = n_ang + len(mag_idx)
+    V = op.v_complex
+    J, dF_dVm = pf_jacobian(build_ybus(net), V, ang_idx, mag_idx)
 
     gen_bus = net.gen_bus_indices
-    ang_pos = {b: i for i, b in enumerate(ang_idx)}
+    gens = np.arange(n_gen)
+    p_gens = gens[gen_bus != net.slack_index]
+    ang_pos = np.zeros(n, dtype=int)
+    ang_pos[ang_idx] = np.arange(n_ang)
 
-    # right-hand sides: one column per input
-    rhs = np.zeros((n_unk, 2 * n_gen))
-    direct_vm = np.zeros((n, 2 * n_gen))  # parameter magnitudes (PV and slack buses)
-    for g in range(n_gen):
-        b = gen_bus[g]
-        if b != slack:
-            # d(mismatch)/d(P_spec) = -1 at the P row of bus b
-            rhs[ang_pos[b], g] = 1.0
-        # voltage set-point: the magnitude at bus b is a parameter
-        col = np.concatenate([dS_dVm[ang_idx, b].real, dS_dVm[mag_idx, b].imag])
-        rhs[:, n_gen + g] = -col
-        direct_vm[b, n_gen + g] = 1.0
+    # right-hand sides, one column per input: d(mismatch)/d(P_spec) = -1 at
+    # the P row of a non-slack generator bus; a voltage set-point is a
+    # parameter magnitude at its bus (PV or slack)
+    rhs = np.zeros((len(J), 2 * n_gen))
+    rhs[ang_pos[gen_bus[p_gens]], p_gens] = 1.0
+    rhs[:, n_gen:] = -dF_dVm[:, gen_bus]
 
     try:
         dz = np.linalg.solve(J, rhs)
@@ -128,7 +107,8 @@ def compute_sensitivity(
         ) from None
 
     dva = np.zeros((n, 2 * n_gen))
-    dvm = direct_vm.copy()
+    dvm = np.zeros((n, 2 * n_gen))
+    dvm[gen_bus, n_gen + gens] = 1.0
     dva[ang_idx, :] = dz[:n_ang, :]
     dvm[mag_idx, :] = dz[n_ang:, :]
 
@@ -140,4 +120,3 @@ def compute_sensitivity(
 
     mat = np.vstack([dvm, dflow, dtheta_row])
     return SensitivityMatrix(matrix=mat, operating_point=operating_point, topology=topology)
-

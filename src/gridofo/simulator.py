@@ -106,9 +106,6 @@ class Trajectory:
     p_ofo: np.ndarray
     v_ofo: np.ndarray
     p_m: np.ndarray
-    machine_states: np.ndarray
-    p_e: np.ndarray
-    v_complex: np.ndarray
     events: list[tuple[float, str]]
 
 
@@ -228,14 +225,6 @@ class DynamicSimulation:
         z = np.concatenate((x.ravel(), i_dq.real, i_dq.imag,
                             self.p_m / omega - p_e, self.E_f))
         return (self._rhs_A @ z + self._rhs_c).reshape(x.shape)
-
-    def electrical_power(self, x: Optional[np.ndarray] = None,
-                         V: Optional[np.ndarray] = None) -> np.ndarray:
-        x = self.x if x is None else x
-        if V is None:
-            V = self.bus_voltages(x)
-        i_d, i_q = mc.dq_currents(self.mach, x, V[self.gen_idx])
-        return mc.electrical_power(x, i_d, i_q)
 
     # -- time stepping -------------------------------------------------------
 
@@ -371,8 +360,7 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
     activate_step = 0
 
     rec: dict[str, list] = {k: [] for k in (
-        "t", "vgap", "v", "dtheta", "flows", "p_ofo", "v_ofo", "p_m",
-        "x", "p_e", "V")}
+        "t", "vgap", "v", "dtheta", "flows", "p_ofo", "v_ofo", "p_m")}
 
     def apply_event(ev: Event, t: float):
         nonlocal ofo_active, activate_step
@@ -420,8 +408,7 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
             sim.controller_update(t)
 
         if k % rec_stride == 0:
-            V = sim.bus_voltages()
-            m = extract_measurement(sim._net_now, V, t)
+            m = extract_measurement(sim._net_now, sim.bus_voltages(), t)
             rec["t"].append(t)
             rec["vgap"].append(complex_voltage_gap(m))
             rec["v"].append(m.v)
@@ -430,9 +417,6 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
             rec["p_ofo"].append(sim.ofo_state.p_ofo.copy())
             rec["v_ofo"].append(sim.ofo_state.v_ofo.copy())
             rec["p_m"].append(sim.p_m.copy())
-            rec["x"].append(sim.x.copy())
-            rec["p_e"].append(sim.electrical_power(V=V))
-            rec["V"].append(V)
 
         if k < n_steps:
             sim.step(dt)
@@ -446,8 +430,5 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
         p_ofo=np.array(rec["p_ofo"]),
         v_ofo=np.array(rec["v_ofo"]),
         p_m=np.array(rec["p_m"]),
-        machine_states=np.array(rec["x"]),
-        p_e=np.array(rec["p_e"]),
-        v_complex=np.array(rec["V"]),
         events=list(sim.event_log),
     )

@@ -17,7 +17,6 @@ from gridofo.machines import (
     dq_currents,
     electrical_power,
     init_from_power_flow,
-    injected_current,
     internal_emf,
     machine_derivatives,
     rotor_rotation,
@@ -85,19 +84,22 @@ class TestStator:
             dq_currents(p, np.zeros(6), 1.0 + 0j)
 
     def test_norton_equivalence(self):
-        """Norton source current reproduces the stator currents through X''."""
-        p = make_machine(R=0.0)
+        """The stator current is y_int * (E'' - v_bus), E'' the internal EMF.
+
+        This is the Norton source y_int * E'' that the simulator injects.
+        """
         state = np.zeros(6)
         state[DELTA] = 0.4
         state[ED_PP] = 0.2
         state[EQ_PP] = 1.05
         v_bus = 1.0 * np.exp(0.1j)
-        i_d, i_q = dq_currents(p, state, v_bus)
-        i_net = (i_d + 1j * i_q) / rotor_rotation(state[DELTA])
-        y_int = 1.0 / (p.R + 1j * p.X_d_pp)
-        i_from_norton = -injected_current(p, state) + y_int * v_bus
-        # terminal current flowing out of the machine equals -(i_inj - y V)
-        assert i_net == pytest.approx(-i_from_norton, abs=1e-12)
+        for R in (0.0, 0.003):
+            p = make_machine(R=R)
+            i_d, i_q = dq_currents(p, state, v_bus)
+            i_net = (i_d + 1j * i_q) / rotor_rotation(state[DELTA])
+            y_int = 1.0 / (p.R + 1j * p.X_d_pp)
+            assert i_net == pytest.approx(
+                y_int * (internal_emf(state) - v_bus), abs=1e-12)
 
 
 class TestDerivatives:

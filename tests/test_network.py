@@ -69,6 +69,25 @@ class TestYbus:
         Y = build_ybus(grid.net)
         assert np.allclose(Y, Y.T)
 
+    @pytest.mark.parametrize("line_out", [None, "23-24"])
+    def test_matches_per_line_stamp(self, grid, line_out):
+        """The vectorized stamp equals a line-by-line stamp, to 1e-14 of the
+        largest entry."""
+        net = grid.net if line_out is None else grid.net.with_line_out(line_out)
+        want = np.zeros((net.n_bus, net.n_bus), dtype=complex)
+        for ln in net.lines:
+            if ln.in_service:
+                ys, ysh = line_admittances(ln)
+                f, t = net.bus_index(ln.from_bus), net.bus_index(ln.to_bus)
+                want[f, f] += ys + ysh
+                want[t, t] += ys + ysh
+                want[f, t] -= ys
+                want[t, f] -= ys
+        for i, b in enumerate(net.buses):
+            want[i, i] += 1j * b.shunt_b
+        got = build_ybus(net)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestPowerFlow:
     def test_two_bus_matches_analytic(self):
@@ -189,6 +208,13 @@ class TestTopologyEdits:
         assert all(b.load_p == 0.1 and b.load_q == 0.05 for b in scaled.buses)
         with pytest.raises(GridDataError):
             net.with_bus_loads([1.0], [1.0])
+
+    def test_cached_arrays_read_only(self, grid):
+        """The arrays cached on a shared model cannot be edited by a caller."""
+        net = grid.net
+        for a in (*net.branches, net.gen_bus_indices):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
 
     def test_components_detect_islands(self, grid):
         net = grid.net

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridofo.errors import GridDataError, OfoStepError
 from gridofo.qp import (
     INFEASIBLE,
     OPTIMAL,
@@ -48,12 +49,14 @@ class TestBasics:
         assert sol.status == INFEASIBLE
 
     def test_data_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OfoStepError):
             QpProblem(g=np.array([np.nan]), G_ineq=np.zeros((0, 1)),
                       h_ineq=np.zeros(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(GridDataError):
             QpProblem(g=np.array([1.0]), G_ineq=np.ones((2, 1)),
                       h_ineq=np.ones(3))
+        with pytest.raises(GridDataError):  # 3 columns for 2 unknowns
+            QpProblem(g=np.zeros(2), G_ineq=np.ones((2, 3)), h_ineq=np.ones(3))
 
 
 class TestAgainstBruteForce:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gridofo.network import extract_measurement, solve_power_flow
-from gridofo.sensitivity import compute_sensitivity
+from gridofo.network import extract_measurement, line_flow_complex, solve_power_flow
+from gridofo.sensitivity import _flow_partials, compute_sensitivity
 
 FD_STEP = 1e-5
 
@@ -70,6 +70,34 @@ class TestAgainstFiniteDifferences:
         S = compute_sensitivity(net, sol).matrix
         S_fd = fd_sensitivity(net, gen_p, gen_v, warm=sol)
         assert max_rel_error(S, S_fd) <= 1e-4
+
+
+class TestFlowPartials:
+    def test_against_finite_differences(self, grid, base_inputs):
+        """d|S_from|/d(theta_k) and d|S_from|/d(|V_k|) against central
+        differences of line_flow_complex, on the post-trip grid; the tripped
+        line's rows are exactly zero."""
+        gen_p, gen_v = base_inputs
+        net = grid.net.with_line_out("23-24")
+        sol = solve_power_flow(net, gen_p, gen_v)
+        dl_dva, dl_dvm = _flow_partials(net, sol.v_complex)
+        h = 1e-7
+
+        def flows(vm, va):
+            return np.abs(line_flow_complex(net, vm * np.exp(1j * va)))
+
+        for got, perturbed in ((dl_dva, "va"), (dl_dvm, "vm")):
+            fd = np.zeros_like(got)
+            for k in range(net.n_bus):
+                step = np.zeros(net.n_bus)
+                step[k] = h
+                if perturbed == "va":
+                    up, down = flows(sol.v, sol.theta + step), flows(sol.v, sol.theta - step)
+                else:
+                    up, down = flows(sol.v + step, sol.theta), flows(sol.v - step, sol.theta)
+                fd[:, k] = (up - down) / (2 * h)
+            np.testing.assert_allclose(got, fd, rtol=0, atol=1e-6)
+            assert np.all(got[net.line_index("23-24")] == 0.0)
 
 
 class TestStructure:

@@ -260,16 +260,6 @@ class TestTrajectoryInvariants:
             frac = since_on / 5.0 - round(since_on / 5.0)
             assert abs(frac) * 5.0 < 0.1 + 1e-9
 
-    def test_electrical_power_consistency(self, grid, scenario_traj):
-        """Recorded p_e matches a recomputation from states and voltages."""
-        from gridofo import machines as mc
-        for k in range(0, scenario_traj.t.size, 20):
-            x = scenario_traj.machine_states[k]
-            V = scenario_traj.v_complex[k][grid.net.gen_bus_indices]
-            i_d, i_q = mc.dq_currents(grid.machines, x, V)
-            p_e = mc.electrical_power(x, i_d, i_q)
-            np.testing.assert_allclose(p_e, scenario_traj.p_e[k], atol=1e-8)
-
     def test_gap_reduction_after_activation(self, scenario_traj):
         i_on = np.searchsorted(scenario_traj.t, 5.0)
         assert scenario_traj.vgap[-1] < scenario_traj.vgap[i_on]
