@@ -5,8 +5,13 @@ advanced with the trapezoidal rule, inputs frozen over the step. Limited
 stages use clamping anti-windup: the limited state itself is clipped, so it
 does not wind up while the output saturates.
 
-All step functions are pure: they take a state, return (new_state, output),
-and broadcast over machine fleets when the parameters are arrays.
+The simulator advances all four blocks of a fleet with one `ControlKernel`,
+built once per step size: between the limiters every block is affine, so a
+step is two precomputed affine maps of one stacked state vector, each
+followed by its clamps. The step functions below are the readable reference
+the kernel is tested against. They are pure: they take a state, return
+(new_state, output), and broadcast over machine fleets when the parameters
+are arrays.
 """
 
 from __future__ import annotations
@@ -252,3 +257,101 @@ def agc_step(p: AgcParams, s: AgcState, avg_delta_omega: float, dt: float):
     x_i = s.x_i + dt * p.K_i * e  # pure integrator; trapezoid == Euler for frozen input
     out = p.K_p * e + x_i
     return AgcState(x_i), np.asarray(p.beta) * out
+
+
+# ---------------------------------------------------------------------------
+# Fused kernel: the four blocks of a fleet as two affine maps per step
+# ---------------------------------------------------------------------------
+
+def stack_states(gov: GovernorState, pss: PssState, exc: ExciterState,
+                 agc: AgcState) -> np.ndarray:
+    """The one state vector ControlKernel advances.
+
+    Layout: [x_valve, x_w, x_1, x_2, x_i, x_turb, x_ll, x_out], n entries
+    each except the AGC integrator x_i; the first five are stage 1's states.
+    """
+    return np.concatenate((gov.x_valve, pss.x_w, pss.x_1, pss.x_2, [agc.x_i],
+                           gov.x_turb, exc.x_ll, exc.x_out))
+
+
+class ControlKernel:
+    """governor_step, pss_step, exciter_step and agc_step of a fleet, fused.
+
+    Built for one step size `dt`, from the same `_ParamSet.lag` coefficients
+    and the same helpers as the reference blocks. A step works on the vector
+    w = [v_pss, stacked state, delta_omega, delta_v, 1]:
+
+    1. one affine map gives the PSS output and the new valve, washout,
+       lead-lag and AGC states; the valve is clipped to [V_min, V_max] and the
+       PSS output to +-H_lim;
+    2. reading those clipped values from w, a second affine map gives the new
+       turbine and exciter states and p_gov + p_agc; E_f is clipped to
+       [E_min, E_max].
+    """
+
+    def __init__(self, gov: GovernorSet, pss: PssSet, exc: ExciterSet,
+                 agc: AgcParams, weights, p_m0, E_f0, dt: float):
+        if not (np.isfinite(dt) and dt > 0):
+            raise GridDataError(f"control kernel: dt must be finite and > 0, got {dt!r}")
+        self.dt = dt
+        n = self.n = gov.n
+        # slots of w; stage 1 writes [V_PSS, X_TURB), stage 2 [X_TURB, DW)
+        V_PSS, X_VALVE, X_W, X_1, X_2, X_I = 0, n, 2 * n, 3 * n, 4 * n, 5 * n
+        X_TURB, X_LL, X_OUT = 5 * n + 1, 6 * n + 1, 7 * n + 1
+        DW, DV, ONE = 8 * n + 1, 9 * n + 1, 10 * n + 1
+        # every quantity below is its (len(w), n) matrix of coefficients on
+        # w, column j for machine j; the reference helpers broadcast over it
+        basis = np.eye(ONE + 1)
+
+        def slot(i, m=n):
+            return basis[:, i:i + m]
+
+        one, dw, dv = slot(ONE, 1), slot(DW), slot(DV)
+        avg_dw = dw @ np.asarray(weights, dtype=float)[:, None]
+        beta = np.asarray(agc.beta, dtype=float)
+
+        # stage 1: w holds the previous step's states
+        x_valve = _trapz_lag(slot(X_VALVE), one * p_m0 - dw / gov.R_g,
+                             gov.lag("T_1", dt))
+        x_w = _trapz_lag(slot(X_W), dw, pss.lag("T", dt))
+        w_out = pss.K_PSS * (dw - x_w) / pss.T
+        x_1 = _trapz_lag(slot(X_1), w_out, pss.lag("T_3", dt))
+        o_1 = _leadlag_out(x_1, w_out, pss.T_1, pss.T_3)
+        x_2 = _trapz_lag(slot(X_2), o_1, pss.lag("T_4", dt))
+        v_pss = _leadlag_out(x_2, o_1, pss.T_2, pss.T_4)
+        x_i = slot(X_I, 1) + dt * agc.K_i * (-agc.lam * avg_dw)
+        self._A1 = np.hstack((v_pss, x_valve, x_w, x_1, x_2, x_i)).T.copy()
+
+        # stage 2: the stage-1 slots of w now hold the clipped new values
+        x_valve, v_pss, x_i = slot(X_VALVE), slot(V_PSS), slot(X_I, 1)
+        x_turb = _trapz_lag(slot(X_TURB), x_valve, gov.lag("T_3", dt))
+        p_gov = _leadlag_out(x_turb, x_valve, gov.T_2, gov.T_3) - gov.D_t * dw
+        u = one * (E_f0 / exc.K_ex) + dv + v_pss
+        x_ll = _trapz_lag(slot(X_LL), u, exc.lag("T_b", dt))
+        mid = _leadlag_out(x_ll, u, exc.T_a, exc.T_b)
+        x_out = _trapz_lag(slot(X_OUT), exc.K_ex * mid, exc.lag("T_e", dt))
+        p_agc = beta * (agc.K_p * (-agc.lam * avg_dw) + x_i)
+        self._A2 = np.hstack((x_turb, x_ll, x_out, p_gov + p_agc)).T.copy()
+
+        self._lo1 = np.concatenate((-pss.H_lim, gov.V_min))
+        self._hi1 = np.concatenate((pss.H_lim, gov.V_max))
+        self._lo2, self._hi2 = exc.E_min, exc.E_max
+        self._v_pss0 = np.zeros(n)  # the v_pss slot, written by stage 1
+        self._one = np.ones(1)
+
+    def step(self, s: np.ndarray, delta_omega, delta_v):
+        """Advance the stacked state `s` (see stack_states) by one step.
+
+        Returns (new state, p_gov + p_agc, E_f), the inputs frozen over the
+        step as in the reference blocks.
+        """
+        n = self.n
+        w = np.concatenate((self._v_pss0, s, delta_omega, delta_v, self._one))
+        w[:5 * n + 1] = np.dot(self._A1, w)
+        lim = w[:2 * n]
+        np.minimum(np.maximum(lim, self._lo1, out=lim), self._hi1, out=lim)
+        y = np.dot(self._A2, w)
+        e_f = y[2 * n:3 * n]
+        np.minimum(np.maximum(e_f, self._lo2, out=e_f), self._hi2, out=e_f)
+        w[5 * n + 1:8 * n + 1] = y[:3 * n]
+        return w[n:8 * n + 1], y[3 * n:], e_f

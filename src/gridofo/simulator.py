@@ -6,9 +6,12 @@ are at the generator internal nodes, so each topology's network is Kron
 reduced once, when it is built: the generator-bus voltages of a derivative
 evaluation are one n_gen x n_gen product with the subtransient EMFs, and the
 full bus voltages one n_bus x n_gen product, formed only at record and
-measurement instants. The machine right-hand side is one affine map of the state and
-the stator currents. Control blocks advance once per step with the
-trapezoidal rule, their inputs frozen over the step. A timed event engine
+measurement instants. The machine right-hand side is one affine map of the
+state and the stator currents. Control blocks advance once per step, before
+the RK4 stages, with their inputs frozen over the step: one precomputed
+control kernel per step size (`controls.ControlKernel`) advances the
+governors, PSSs, exciters and AGC together, from the rotor speeds and the
+generator-bus voltages that the first RK4 stage also uses. A timed event engine
 applies line trips, recloses (optionally guarded by the breaker angle),
 controller activation and direct set-point overrides.
 """
@@ -23,16 +26,13 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import machines as mc
 from .controls import (
-    agc_step,
-    average_frequency,
+    AgcState,
+    ControlKernel,
     exciter_init,
-    exciter_step,
     governor_init,
-    governor_step,
     inertia_weights,
     pss_init,
-    pss_step,
-    AgcState,
+    stack_states,
 )
 from .errors import (
     GridDataError,
@@ -147,11 +147,10 @@ class DynamicSimulation:
             self.mach, V0[self.gen_idx], s_gen, self.omega_base
         )
 
-        self.gov_state = governor_init(grid.governors, self.p_m0)
-        self.exc_state = exciter_init(grid.exciters, self.E_f0)
-        self.pss_state = pss_init(grid.pss, self.mach.n)
-        self.agc_state = AgcState()
-        self.p_agc = np.zeros(self.mach.n)
+        self._ctrl = stack_states(
+            governor_init(grid.governors, self.p_m0), pss_init(grid.pss, self.mach.n),
+            exciter_init(grid.exciters, self.E_f0), AgcState())
+        self._kernel: Optional[ControlKernel] = None  # built at the first step
 
         self.ofo_state = OfoState(u=np.concatenate([np.zeros(net.n_gen), gen_v0]))
         self.p_m = self.p_m0.copy()
@@ -207,18 +206,28 @@ class DynamicSimulation:
         x = self.x if x is None else x
         return self._W @ mc.internal_emf(x)
 
-    def _derivs(self, x: np.ndarray, V: Optional[np.ndarray] = None):
+    def _frame(self, x: np.ndarray, V: Optional[np.ndarray] = None):
+        """Rotor-to-grid rotation, dq subtransient EMFs and generator-bus
+        voltages of state x.
+
+        The voltages come from the reduced network, or from the bus voltages
+        V when given.
+        """
+        rot = np.exp(1j * (x[:, mc.DELTA] - np.pi / 2))
+        e_dq = x[:, mc.ED_PP] + 1j * x[:, mc.EQ_PP]
+        vg = self._Z @ (e_dq * rot) if V is None else V[self.gen_idx]
+        return rot, e_dq, vg
+
+    def _derivs(self, x: np.ndarray, V: Optional[np.ndarray] = None,
+                frame=None):
         """machine_derivatives of the fleet at state x, fused.
 
-        The generator-bus voltages come from the reduced network, or from
-        the bus voltages V when given.
+        `frame` is `_frame(x, V)`, when the caller has it already.
         """
         omega = 1.0 + x[:, mc.OMEGA]
         if not omega.min() > 0:  # also trips on NaN
             raise SimulationBlowupError("rotor speed reached zero or is not finite")
-        rot = np.exp(1j * (x[:, mc.DELTA] - np.pi / 2))  # rotor to grid frame
-        e_dq = x[:, mc.ED_PP] + 1j * x[:, mc.EQ_PP]
-        vg = self._Z @ (e_dq * rot) if V is None else V[self.gen_idx]
+        rot, e_dq, vg = self._frame(x, V) if frame is None else frame
         # stator currents I_d + j I_q = (E''_dq - v_dq) / (R + j X_d'')
         i_dq = self.y_int * (e_dq - vg * rot.conj())
         p_e = (e_dq.conj() * i_dq).real  # E_d'' I_d + E_q'' I_q
@@ -230,21 +239,20 @@ class DynamicSimulation:
 
     def step(self, dt: float) -> None:
         """Advance one step."""
+        kernel = self._kernel
+        if kernel is None or kernel.dt != dt:
+            g = self.grid
+            kernel = self._kernel = ControlKernel(
+                g.governors, g.pss, g.exciters, g.agc, self._freq_w,
+                self.p_m0, self.E_f0, dt)
         x = self.x
-        dw = x[:, mc.OMEGA]
-
-        self.gov_state, p_gov = governor_step(
-            self.grid.governors, self.gov_state, dw, self.p_m0, dt)
-        self.pss_state, v_pss = pss_step(self.grid.pss, self.pss_state, dw, dt)
-        delta_v = self.ofo_state.v_ofo - np.abs(self._Z @ mc.internal_emf(x))
-        self.exc_state, self.E_f = exciter_step(
-            self.grid.exciters, self.exc_state, delta_v, v_pss, self.E_f0, dt)
-        avg_dw = average_frequency(dw, self._freq_w)
-        self.agc_state, self.p_agc = agc_step(self.grid.agc, self.agc_state, avg_dw, dt)
-        self.p_m = p_gov + self.ofo_state.p_ofo + self.p_agc
+        frame = self._frame(x)
+        delta_v = self.ofo_state.v_ofo - np.abs(frame[2])
+        self._ctrl, p_ctrl, self.E_f = kernel.step(self._ctrl, x[:, mc.OMEGA], delta_v)
+        self.p_m = p_ctrl + self.ofo_state.p_ofo
 
         half = 0.5 * dt
-        k1 = self._derivs(x)
+        k1 = self._derivs(x, frame=frame)
         k2 = self._derivs(x + half * k1)
         k3 = self._derivs(x + half * k2)
         k4 = self._derivs(x + dt * k3)

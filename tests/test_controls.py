@@ -1,18 +1,22 @@
-"""Control blocks against their continuous transfer functions.
+"""Control blocks against their continuous transfer functions, and the fused
+control kernel against the blocks.
 
-The oracle is scipy.signal: for piecewise-constant inputs its step response
-is computed through the matrix exponential, i.e. exact for the continuous
-system, so agreement bounds the discretization error of the trapezoidal
-blocks directly.
+The oracle of the blocks is scipy.signal: for piecewise-constant inputs its
+step response is computed through the matrix exponential, i.e. exact for the
+continuous system, so agreement bounds the discretization error of the
+trapezoidal blocks directly. The kernel only regroups the blocks' affine
+arithmetic, so it must match them to rounding.
 """
 
 import numpy as np
 import pytest
 from scipy import signal
 
+from gridofo import machines as mc
 from gridofo.controls import (
     AgcParams,
     AgcState,
+    ControlKernel,
     ExciterParams,
     ExciterSet,
     GovernorParams,
@@ -28,8 +32,11 @@ from gridofo.controls import (
     inertia_weights,
     pss_init,
     pss_step,
+    stack_states,
 )
+from gridofo.dataio import bundled_path, load_scenario
 from gridofo.errors import GridDataError
+from gridofo.simulator import DynamicSimulation
 
 DT = 1e-3
 
@@ -228,3 +235,126 @@ class TestAgc:
     def test_participation_validation(self):
         with pytest.raises(GridDataError):
             AgcParams(lam=1.0, K_p=0.1, K_i=0.1, beta=(0.5, 0.6))
+
+
+class ReferenceBlocks:
+    """The four reference blocks of a grid's fleet, stepped together."""
+
+    def __init__(self, grid, p_m0, E_f0):
+        self.grid, self.p_m0, self.E_f0 = grid, p_m0, E_f0
+        self.weights = inertia_weights(grid.machines.H, grid.machines.S)
+        self.gov = governor_init(grid.governors, p_m0)
+        self.pss = pss_init(grid.pss, grid.pss.n)
+        self.exc = exciter_init(grid.exciters, E_f0)
+        self.agc = AgcState()
+
+    def kernel(self, dt):
+        g = self.grid
+        return ControlKernel(g.governors, g.pss, g.exciters, g.agc,
+                             self.weights, self.p_m0, self.E_f0, dt)
+
+    def state(self):
+        return stack_states(self.gov, self.pss, self.exc, self.agc)
+
+    def step(self, dw, delta_v, dt):
+        """(p_gov + p_agc, E_f) of one step."""
+        g = self.grid
+        self.gov, p_gov = governor_step(g.governors, self.gov, dw, self.p_m0, dt)
+        self.pss, v_pss = pss_step(g.pss, self.pss, dw, dt)
+        self.exc, E_f = exciter_step(g.exciters, self.exc, delta_v, v_pss,
+                                     self.E_f0, dt)
+        self.agc, p_agc = agc_step(g.agc, self.agc,
+                                   average_frequency(dw, self.weights), dt)
+        self.v_pss = v_pss
+        return p_gov + p_agc, E_f
+
+
+def assert_close(got, want, rtol):
+    """Within rtol of the largest reference entry, or of 1 if that is less."""
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= rtol * max(1.0, float(np.max(np.abs(w))))
+
+
+class TestControlKernel:
+    """ControlKernel against the four reference blocks at 1e-12 relative."""
+
+    def test_matches_blocks_over_trip_reclose(self, grid):
+        """Inputs from a simulated trip, two controller samples and the
+        reclose of the bundled scenario's line; kernel and blocks each
+        advance their own state from them."""
+        scen = load_scenario(bundled_path("scenario_reclose.json"))
+        line = next(ev.line_id for ev in scen.events if ev.kind == "line_trip")
+        sim = DynamicSimulation(grid)
+        ref = ReferenceBlocks(grid, sim.p_m0, sim.E_f0)
+        dt = 5e-3
+        kernel = ref.kernel(dt)
+        s = ref.state()
+        actions = {100: lambda: sim.set_line_status(line, False),
+                   200: lambda: sim.controller_update(1.0),
+                   400: lambda: sim.controller_update(2.0),
+                   600: lambda: sim.set_line_status(line, True)}
+        moved = 0.0
+        for k in range(800):
+            if k in actions:
+                actions[k]()
+            dw = sim.x[:, mc.OMEGA].copy()
+            delta_v = sim.ofo_state.v_ofo - np.abs(sim.bus_voltages()[sim.gen_idx])
+            s, p_ctrl, E_f = kernel.step(s, dw, delta_v)
+            want = ref.step(dw, delta_v, dt)
+            assert_close((s, p_ctrl, E_f), (ref.state(),) + want, 1e-12)
+            moved = max(moved, float(np.max(np.abs(E_f - sim.E_f0))))
+            sim.step(dt)
+        assert moved > 1e-3  # the run exercised the blocks
+
+    @pytest.mark.parametrize("limit, dw, delta_v", [
+        ("V_max", -2.0, 0.0),
+        ("V_min", 2.0, 0.0),
+        ("+H_lim", 0.01, 0.0),
+        ("-H_lim", -0.01, 0.0),
+        ("E_max", 0.0, 0.5),
+        ("E_min", 0.0, -0.5),
+    ])
+    def test_limiters(self, grid, limit, dw, delta_v):
+        """Each limiter binds on every machine, then a reversed input
+        releases it; the PSS limit reaches the kernel's states through E_f."""
+        gov, pss, exc = grid.governors, grid.pss, grid.exciters
+        at_limit = {"V_max": lambda r: r.gov.x_valve == gov.V_max,
+                    "V_min": lambda r: r.gov.x_valve == gov.V_min,
+                    "+H_lim": lambda r: r.v_pss == pss.H_lim,
+                    "-H_lim": lambda r: r.v_pss == -pss.H_lim,
+                    "E_max": lambda r: r.exc.x_out == exc.E_max,
+                    "E_min": lambda r: r.exc.x_out == exc.E_min}[limit]
+        n = pss.n
+        ref = ReferenceBlocks(grid, np.linspace(1.0, 9.0, n),
+                              np.linspace(1.5, 3.0, n))
+        dt = 5e-3
+        kernel = ref.kernel(dt)
+        s = ref.state()
+        bound = []
+        for k in range(400):
+            sign = 1.0 if k < 200 else -0.2
+            dw_k, dv_k = np.full(n, sign * dw), np.full(n, sign * delta_v)
+            s, p_ctrl, E_f = kernel.step(s, dw_k, dv_k)
+            want = ref.step(dw_k, dv_k, dt)
+            assert_close((s, p_ctrl, E_f), (ref.state(),) + want, 1e-12)
+            bound.append(bool(np.all(at_limit(ref))))
+        assert any(bound[:200]) and not bound[-1]
+
+    def test_rebuilt_for_new_dt(self, grid):
+        """A step with another dt builds a new kernel; the simulator's control
+        state then matches the blocks stepped with both step sizes."""
+        sim = DynamicSimulation(grid)
+        ref = ReferenceBlocks(grid, sim.p_m0, sim.E_f0)
+        sim.set_line_status("23-24", False)
+        kernels = []
+        for dt in (5e-3, 5e-3, 2e-3, 2e-3):
+            dw = sim.x[:, mc.OMEGA].copy()
+            delta_v = sim.ofo_state.v_ofo - np.abs(sim.bus_voltages()[sim.gen_idx])
+            want = ref.step(dw, delta_v, dt)
+            sim.step(dt)
+            kernels.append(sim._kernel)
+            assert sim._kernel.dt == dt
+            assert_close((sim._ctrl, sim.p_m - sim.ofo_state.p_ofo, sim.E_f),
+                         (ref.state(),) + want, 1e-12)
+        assert kernels[0] is kernels[1] and kernels[2] is kernels[3]
+        assert kernels[1] is not kernels[2]

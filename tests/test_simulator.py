@@ -5,6 +5,18 @@ import pytest
 from scipy.linalg import lu_solve
 
 from gridofo import machines as mc
+from gridofo.controls import (
+    AgcState,
+    agc_step,
+    average_frequency,
+    exciter_init,
+    exciter_step,
+    governor_init,
+    governor_step,
+    inertia_weights,
+    pss_init,
+    pss_step,
+)
 from gridofo.dataio import bundled_path, load_scenario
 from gridofo.errors import (
     GridDataError,
@@ -109,6 +121,66 @@ class TestKronReduction:
         advance_and_check(1.0)
         sim.set_line_status(line, True)
         advance_and_check(0.5)
+
+
+class TestControlKernel:
+    def test_matches_reference_stepping(self, grid):
+        """DynamicSimulation against a step written here with the four
+        reference blocks and the unfused stage-1 voltages, at 1e-10 relative
+        to each quantity's largest entry (or 1), over a trip, two controller
+        samples and the reclose of the bundled scenario's line."""
+        scen = load_scenario(bundled_path("scenario_reclose.json"))
+        line = next(ev.line_id for ev in scen.events if ev.kind == "line_trip")
+        sim, ref = DynamicSimulation(grid), DynamicSimulation(grid)
+        weights = inertia_weights(ref.mach.H, ref.mach.S)
+        gov = governor_init(grid.governors, ref.p_m0)
+        pss = pss_init(grid.pss, ref.mach.n)
+        exc = exciter_init(grid.exciters, ref.E_f0)
+        agc = AgcState()
+        u0 = sim.ofo_state.u.copy()
+        dt = 5e-3
+        for k in range(1000):
+            t = k * dt
+            for s in (sim, ref):
+                if k == 100:
+                    s.set_line_status(line, False)
+                elif k in (300, 600):
+                    s.controller_update(t)
+                elif k == 800:
+                    s.set_line_status(line, True)
+            x = ref.x
+            dw = x[:, mc.OMEGA]
+            gov, p_gov = governor_step(grid.governors, gov, dw, ref.p_m0, dt)
+            pss, v_pss = pss_step(grid.pss, pss, dw, dt)
+            delta_v = ref.ofo_state.v_ofo - np.abs(ref._Z @ mc.internal_emf(x))
+            exc, ref.E_f = exciter_step(grid.exciters, exc, delta_v, v_pss,
+                                        ref.E_f0, dt)
+            agc, p_agc = agc_step(grid.agc, agc, average_frequency(dw, weights), dt)
+            ref.p_m = p_gov + ref.ofo_state.p_ofo + p_agc
+            k1 = ref._derivs(x)
+            k2 = ref._derivs(x + 0.5 * dt * k1)
+            k3 = ref._derivs(x + 0.5 * dt * k2)
+            k4 = ref._derivs(x + dt * k3)
+            ref.x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sim.step(dt)
+        assert np.any(sim.ofo_state.u != u0)  # the controller moved u
+        for got, want in ((sim.x, ref.x), (sim.p_m, ref.p_m), (sim.E_f, ref.E_f),
+                          (sim.ofo_state.u, ref.ofo_state.u)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -5e-3])
+    def test_bad_step_size_rejected(self, grid, dt):
+        """An invalid dt is an input error, before and after a valid step,
+        and leaves the state untouched."""
+        sim = DynamicSimulation(grid)
+        for _ in range(2):
+            x, ctrl = sim.x.copy(), sim._ctrl.copy()
+            with pytest.raises(GridDataError):
+                sim.step(dt)
+            np.testing.assert_array_equal(sim.x, x)
+            np.testing.assert_array_equal(sim._ctrl, ctrl)
+            sim.step(5e-3)
 
 
 class TestEquilibriumHold:
