@@ -81,15 +81,6 @@ def _read_trajectory_csv(path):
                 p_ofo=block("pOFO_"), v_ofo=block("vOFO_"), p_m=block("pm_"))
 
 
-def _ofo_config(net, ofo_doc: dict):
-    doc = dict(ofo_doc)
-    for key in ("p_min", "p_max", "v_min", "v_max", "out_v_min", "out_v_max",
-                "flow_max"):
-        if key in doc and isinstance(doc[key], list):
-            doc[key] = np.asarray(doc[key], dtype=float)
-    return default_config(net, **doc)
-
-
 def cmd_powerflow(args) -> int:
     grid = load_grid(args.grid)
     net = grid.net
@@ -106,7 +97,7 @@ def cmd_powerflow(args) -> int:
 def cmd_simulate(args) -> int:
     grid = load_grid(args.grid)
     scen = load_scenario(args.scenario)
-    ofo_cfg = _ofo_config(grid.net, scen.ofo)
+    ofo_cfg = default_config(grid.net, **scen.ofo)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -131,7 +122,7 @@ def _sweep_worker(task):
     grid_path, scenario_path, topology = task
     grid = load_grid(grid_path)
     scen = load_scenario(scenario_path)
-    ofo_cfg = _ofo_config(grid.net, scen.ofo)
+    ofo_cfg = default_config(grid.net, **scen.ofo)
     try:
         traj = run_scenario(grid, scen.events, ofo_cfg, scen.sim,
                             sensitivity_topology=topology)
@@ -153,7 +144,7 @@ def cmd_robustness(args) -> int:
     scen = load_scenario(args.scenario)
     # reject bad input here: a worker would report it as a failed member
     check_events(grid.net, scen.events, scen.sim)
-    period = _ofo_config(grid.net, scen.ofo).sampling_period
+    period = default_config(grid.net, **scen.ofo).sampling_period
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

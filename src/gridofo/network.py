@@ -8,7 +8,9 @@ A line enters every network computation through `NetworkModel.branches`:
 from/to bus indices and series/shunt admittances, zero for a line out of
 service. The Y-bus, the line flows and their partials (in `sensitivity`)
 are vectorized over those arrays, and `pf_jacobian` is the one Newton
-Jacobian, shared by the power flow and the sensitivity.
+Jacobian, shared by the power flow and the sensitivity. A power flow takes
+the buses' loads, or a `load` vector that replaces them, so a caller whose
+loads change but whose topology does not keeps one model.
 """
 
 from __future__ import annotations
@@ -183,15 +185,6 @@ class NetworkModel:
     def with_line_out(self, line_id: str) -> "NetworkModel":
         return self.with_line_status(line_id, False)
 
-    def with_bus_loads(self, load_p: Sequence[float],
-                       load_q: Sequence[float]) -> "NetworkModel":
-        """Copy of the model with every bus load replaced (ordered like buses)."""
-        if len(load_p) != self.n_bus or len(load_q) != self.n_bus:
-            raise GridDataError("load vectors must be dimensioned to the buses")
-        buses = tuple(replace(b, load_p=float(p), load_q=float(q))
-                      for b, p, q in zip(self.buses, load_p, load_q))
-        return replace(self, buses=buses)
-
     def connected_components(self) -> list[set[int]]:
         """Connected components of the in-service line graph, as bus-id sets."""
         adj: dict[int, set[int]] = {b.id: set() for b in self.buses}
@@ -228,7 +221,6 @@ class PowerFlowSolution:
     theta: np.ndarray
     p_inj: np.ndarray
     q_inj: np.ndarray
-    converged: bool
     residual: float
     iterations: int = 0
 
@@ -337,11 +329,17 @@ def _newton_indices(net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def specified_injections(
-    net: NetworkModel, gen_p: Sequence[float]
+    net: NetworkModel, gen_p: Sequence[float], load: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scheduled net P and Q injection per bus (generation minus load)."""
-    P = np.array([-b.load_p for b in net.buses], dtype=float)
-    Q = np.array([-b.load_q for b in net.buses], dtype=float)
+    """Scheduled net P and Q injection per bus (generation minus load).
+
+    `load`, complex and ordered like the buses, replaces the buses' own loads.
+    """
+    if load is None:
+        load = np.array([complex(b.load_p, b.load_q) for b in net.buses])
+    elif np.shape(load) != (net.n_bus,):
+        raise GridDataError("load vector must be dimensioned to the buses")
+    P, Q = -np.real(load), -np.imag(load)
     np.add.at(P, net.gen_bus_indices, np.asarray(gen_p, dtype=float))
     return P, Q
 
@@ -351,11 +349,13 @@ def solve_power_flow(
     gen_p: Sequence[float],
     gen_v: Sequence[float],
     warm_start: Optional[PowerFlowSolution] = None,
+    load: Optional[np.ndarray] = None,
 ) -> PowerFlowSolution:
     """Newton-Raphson AC power flow with polar mismatch equations.
 
     gen_p / gen_v are ordered like net.generators. The slack generator's
     gen_p entry is ignored; its gen_v entry pins the slack magnitude.
+    `load` replaces the bus loads (see `specified_injections`).
     """
     if len(gen_p) != net.n_gen or len(gen_v) != net.n_gen:
         raise GridDataError("gen_p/gen_v must be dimensioned to the generators")
@@ -371,7 +371,7 @@ def solve_power_flow(
     vm[net.gen_bus_indices] = gen_v
     va -= va[net.slack_index]
 
-    P_spec, Q_spec = specified_injections(net, gen_p)
+    P_spec, Q_spec = specified_injections(net, gen_p, load)
 
     residual = np.inf
     for it in range(_PF_MAX_ITER + 1):
@@ -384,7 +384,7 @@ def solve_power_flow(
         if residual <= _PF_TOL:
             return PowerFlowSolution(
                 v=vm, theta=va, p_inj=S.real, q_inj=S.imag,
-                converged=True, residual=residual, iterations=it,
+                residual=residual, iterations=it,
             )
         if it == _PF_MAX_ITER:
             break

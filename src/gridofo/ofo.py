@@ -75,8 +75,12 @@ def default_config(net: NetworkModel, **overrides) -> OfoConfig:
     for key, val in overrides.items():
         if key not in base:
             raise GridDataError(f"ofo: unknown config field {key!r}")
-        if isinstance(base[key], np.ndarray) and np.isscalar(val):
-            val = np.full_like(base[key], float(val))
+        default = base[key]
+        if isinstance(default, np.ndarray):
+            if np.isscalar(val):
+                val = np.full_like(default, float(val))
+            elif np.shape(val) != default.shape:
+                raise GridDataError(f"ofo: {key} needs {default.size} entries")
         base[key] = val
     return OfoConfig(**base)
 
@@ -84,8 +88,6 @@ def default_config(net: NetworkModel, **overrides) -> OfoConfig:
 @dataclass(frozen=True)
 class OfoState:
     u: np.ndarray
-    measurement: Measurement | None = None
-    sensitivity: SensitivityMatrix | None = None
     active: bool = False
 
     def __post_init__(self):
@@ -111,10 +113,8 @@ def objective_gradient(m: Measurement) -> np.ndarray:
     return grad
 
 
-def _output_rows(cfg: OfoConfig, st: OfoState):
+def _output_rows(cfg: OfoConfig, y: np.ndarray, S: np.ndarray):
     """Linearized output constraints alpha*C*S*w <= d - C*y_m."""
-    S = st.sensitivity.matrix
-    y = st.measurement.as_vector()
     n_bus = cfg.out_v_min.size
     n_line = cfg.flow_max.size
     S_v = S[:n_bus]
@@ -126,21 +126,20 @@ def _output_rows(cfg: OfoConfig, st: OfoState):
     return G, h
 
 
-def assemble_projection_qp(cfg: OfoConfig, st: OfoState) -> QpProblem:
-    """Least-distance projection QP for the current measurement and sensitivity."""
-    if st.measurement is None or st.sensitivity is None:
-        raise GridDataError("ofo: measurement and sensitivity required")
-    S = st.sensitivity.matrix
-    n_u = st.u.size
-    if S.shape != (st.measurement.as_vector().size, n_u):
+def assemble_projection_qp(cfg: OfoConfig, u: np.ndarray, y_m: Measurement,
+                           S: SensitivityMatrix) -> QpProblem:
+    """Least-distance projection QP at input u for measurement y_m and sensitivity S."""
+    y, mat = y_m.as_vector(), S.matrix
+    n_u = u.size
+    if mat.shape != (y.size, n_u):
         raise GridDataError("ofo: sensitivity dimensions inconsistent with u and y")
 
-    g = S.T @ objective_gradient(st.measurement)
+    g = mat.T @ objective_gradient(y_m)
 
     eye = np.eye(n_u)
     G_in = cfg.alpha * np.vstack([eye, -eye])
-    h_in = np.concatenate([cfg.u_max - st.u, st.u - cfg.u_min])
-    G_out, h_out = _output_rows(cfg, st)
+    h_in = np.concatenate([cfg.u_max - u, u - cfg.u_min])
+    G_out, h_out = _output_rows(cfg, y, mat)
     return QpProblem(g=g, G_ineq=np.vstack([G_in, G_out]), h_ineq=np.concatenate([h_in, h_out]))
 
 
@@ -165,8 +164,7 @@ def _soften_outputs(cfg: OfoConfig, problem: QpProblem, n_u: int) -> QpProblem:
 
 def ofo_update(cfg: OfoConfig, st: OfoState, y_m: Measurement, S: SensitivityMatrix) -> OfoState:
     """One projected-gradient iteration u <- u + alpha * w."""
-    st = replace(st, measurement=y_m, sensitivity=S)
-    problem = assemble_projection_qp(cfg, st)
+    problem = assemble_projection_qp(cfg, st.u, y_m, S)
     sol = qp_solve(problem)
     if sol.status != OPTIMAL:
         softened = _soften_outputs(cfg, problem, st.u.size)

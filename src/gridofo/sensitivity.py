@@ -35,8 +35,6 @@ class SensitivityMatrix:
     """d(measurement)/d(set-points), rows [v; flows; delta_theta], cols [p; v]."""
 
     matrix: np.ndarray
-    operating_point: str
-    topology: str
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.matrix)):
@@ -72,12 +70,7 @@ def _flow_partials(net: NetworkModel, V: np.ndarray):
     return dl_dva, dl_dvm
 
 
-def compute_sensitivity(
-    net: NetworkModel,
-    op: PowerFlowSolution,
-    operating_point: str = "base",
-    topology: str = "nominal",
-) -> SensitivityMatrix:
+def compute_sensitivity(net: NetworkModel, op: PowerFlowSolution) -> SensitivityMatrix:
     """Sensitivity of [v, flows, delta_theta] to [p set-points, v set-points]."""
     n = net.n_bus
     n_gen = net.n_gen
@@ -119,4 +112,4 @@ def compute_sensitivity(
     dtheta_row = dva[a, :] - dva[b, :]
 
     mat = np.vstack([dvm, dflow, dtheta_row])
-    return SensitivityMatrix(matrix=mat, operating_point=operating_point, topology=topology)
+    return SensitivityMatrix(matrix=mat)

@@ -13,12 +13,14 @@ control kernel per step size (`controls.ControlKernel`) advances the
 governors, PSSs, exciters and AGC together, from the rotor speeds and the
 generator-bus voltages that the first RK4 stage also uses. A timed event engine
 applies line trips, recloses (optionally guarded by the breaker angle),
-controller activation and direct set-point overrides.
+controller activation and direct set-point overrides. The controller's model
+topology is built with each plant topology; a controller sample passes its
+measured bus loads to the model power flow as an argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -191,6 +193,8 @@ class DynamicSimulation:
         self._net_now = net_now
         self._W = W
         self._Z = W[self.gen_idx]
+        topo = self.sensitivity_topology
+        self._model_net = net_now if topo is None else net_now.with_line_out(topo)
 
     def set_line_status(self, line_id: str, in_service: bool) -> bool:
         """Returns True when the status actually changed (trip is idempotent)."""
@@ -265,25 +269,13 @@ class DynamicSimulation:
 
     # -- controller ----------------------------------------------------------
 
-    def controller_model_net(self, y_m: Optional[Measurement] = None):
-        """Steady-state model the controller differentiates.
-
-        Starts from the plant topology, optionally with one line erased (the
-        deliberately wrong sensitivity of the robustness study). When a
-        measurement is supplied, bus loads are rescaled by (v / v0)^2 so the
-        model sees the power the impedance loads actually draw.
-        """
-        net = self._net_now
-        if self.sensitivity_topology is not None:
-            net = net.with_line_out(self.sensitivity_topology)
-        if y_m is not None:
-            scaled = self._load * (y_m.v / self._v0_mag) ** 2
-            net = net.with_bus_loads(scaled.real, scaled.imag)
-        return net
-
     def controller_update(self, t: float):
+        """One controller sample on the model topology (the plant's, less the
+        erased `sensitivity_topology` line of the robustness study), whose bus
+        loads are what the impedance loads draw at the measured voltages."""
         y_m = self.measurement(t)
-        model_net = self.controller_model_net(y_m)
+        model_net = self._model_net
+        load = self._load * (y_m.v / self._v0_mag) ** 2
         st = self.ofo_state
         try:
             lost = model_net.islanded_buses()
@@ -294,7 +286,7 @@ class DynamicSimulation:
                 try:
                     cand = solve_power_flow(
                         model_net, self.gen_p0 + st.p_ofo, st.v_ofo,
-                        warm_start=warm)
+                        warm_start=warm, load=load)
                 except PowerFlowDivergenceError:
                     continue
                 # reject convergence onto an implausible (low-voltage) branch
@@ -305,9 +297,7 @@ class DynamicSimulation:
                 raise VoltageCollapseProximityError(
                     "model power flow found no plausible operating point")
             self._sens_warm = sol
-            S = compute_sensitivity(
-                model_net, sol, operating_point=f"t={t:g}",
-                topology=self.sensitivity_topology or "nominal")
+            S = compute_sensitivity(model_net, sol)
         except (IslandingError, PowerFlowDivergenceError,
                 VoltageCollapseProximityError) as exc:
             # no trustworthy sensitivity at this instant: hold the input
@@ -364,14 +354,13 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
     events = sorted(events, key=lambda e: e.time)
     next_event = 0
     pending_reclose: list[Event] = []
-    ofo_active = False
     activate_step = 0
 
     rec: dict[str, list] = {k: [] for k in (
         "t", "vgap", "v", "dtheta", "flows", "p_ofo", "v_ofo", "p_m")}
 
     def apply_event(ev: Event, t: float):
-        nonlocal ofo_active, activate_step
+        nonlocal activate_step
         if ev.kind == LINE_TRIP:
             changed = sim.set_line_status(ev.line_id, False)
             sim.event_log.append(
@@ -393,15 +382,11 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
             if changed:
                 sim.event_log.append((t, f"line {ev.line_id} reclosed"))
         elif ev.kind == ACTIVATE_OFO:
-            ofo_active = True
             activate_step = round(t / dt)
-            sim.ofo_state = OfoState(
-                u=sim.ofo_state.u, measurement=sim.ofo_state.measurement,
-                sensitivity=sim.ofo_state.sensitivity, active=True)
+            sim.ofo_state = replace(sim.ofo_state, active=True)
             sim.event_log.append((t, "OFO controller activated"))
         elif ev.kind == SET_INPUT:
-            sim.ofo_state = OfoState(u=np.asarray(ev.u, dtype=float),
-                                     active=sim.ofo_state.active)
+            sim.ofo_state = replace(sim.ofo_state, u=ev.u)
             sim.event_log.append((t, "set-point override applied"))
 
     for k in range(n_steps + 1):
@@ -412,11 +397,11 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
         for ev in list(pending_reclose):
             apply_event(ev, t)
 
-        if ofo_active and (k - activate_step) % samp_stride == 0:
+        if sim.ofo_state.active and (k - activate_step) % samp_stride == 0:
             sim.controller_update(t)
 
         if k % rec_stride == 0:
-            m = extract_measurement(sim._net_now, sim.bus_voltages(), t)
+            m = sim.measurement(t)
             rec["t"].append(t)
             rec["vgap"].append(complex_voltage_gap(m))
             rec["v"].append(m.v)

@@ -18,6 +18,7 @@ BAD_SCENARIOS = {
     "short_u": lambda doc: doc["events"].append(
         {"time": 2.0, "kind": "set_input", "u": [0.0] * 3}),
     "nan_p_max": lambda doc: doc["ofo"].update(p_max=NAN),
+    "short_p_min": lambda doc: doc["ofo"].update(p_min=[0, 0]),
     # dt = 0.01 and t_end = 12 in short_scenario
     "off_time_grid": lambda doc: doc["events"][1].update(time=5.004),
     "after_t_end": lambda doc: doc["events"][1].update(time=12.5),

@@ -42,8 +42,7 @@ def small_config(n_gen=2, n_bus=3, n_line=2, **over):
 
 
 def sens(matrix):
-    return SensitivityMatrix(matrix=np.asarray(matrix, dtype=float),
-                             operating_point="test", topology="test")
+    return SensitivityMatrix(matrix=np.asarray(matrix, dtype=float))
 
 
 class TestObjectiveGradient:
@@ -82,8 +81,7 @@ class TestQpAssembly:
         u = np.array([0.5, 0.2, 1.0, 1.05])
         m = make_measurement([1.0, 1.02, 0.98], [0.5, 0.4], 0.05, (0, 1))
         S = sens(np.ones((6, 4)) * 0.1)
-        st = OfoState(u=u, measurement=m, sensitivity=S)
-        problem = assemble_projection_qp(cfg, st)
+        problem = assemble_projection_qp(cfg, u, m, S)
         sol = qp_solve(problem)
         assert sol.status == OPTIMAL
         u_next = u + 3.0 * sol.w
@@ -95,23 +93,15 @@ class TestQpAssembly:
         u = np.array([0.5, 0.5, 1.0, 1.0])
         m = make_measurement([1.05, 0.95, 1.0], [0.1, 0.2], 0.3, (0, 1))
         S_mat = np.arange(24.0).reshape(6, 4) / 10.0
-        st = OfoState(u=u, measurement=m, sensitivity=sens(S_mat))
-        problem = assemble_projection_qp(cfg, st)
+        problem = assemble_projection_qp(cfg, u, m, sens(S_mat))
         np.testing.assert_allclose(problem.g,
                                    S_mat.T @ objective_gradient(m))
 
     def test_dimension_mismatch_rejected(self):
         cfg = small_config()
-        st = OfoState(u=np.zeros(4),
-                      measurement=make_measurement([1.0, 1.0, 1.0],
-                                                   [0.0, 0.0], 0.0),
-                      sensitivity=sens(np.zeros((5, 4))))
+        m = make_measurement([1.0, 1.0, 1.0], [0.0, 0.0], 0.0)
         with pytest.raises(GridDataError):
-            assemble_projection_qp(cfg, st)
-
-    def test_missing_measurement_rejected(self):
-        with pytest.raises(GridDataError):
-            assemble_projection_qp(small_config(), OfoState(u=np.zeros(4)))
+            assemble_projection_qp(cfg, np.zeros(4), m, sens(np.zeros((5, 4))))
 
 
 class TestClosedLoopOnLinearPlant:
@@ -197,6 +187,13 @@ class TestDefaultConfig:
     def test_unknown_override_rejected(self, grid):
         with pytest.raises(GridDataError):
             default_config(grid.net, gamma=1.0)
+
+    def test_override_shape_checked(self, grid):
+        """A bound list must have its default's length; a right one is taken."""
+        with pytest.raises(GridDataError, match="p_min"):
+            default_config(grid.net, p_min=[0, 0])
+        cfg = default_config(grid.net, p_min=[0.1] * grid.net.n_gen)
+        assert cfg.p_min.shape == (grid.net.n_gen,) and np.all(cfg.p_min == 0.1)
 
     def test_bound_ordering_enforced(self):
         with pytest.raises(GridDataError):

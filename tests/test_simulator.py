@@ -354,3 +354,29 @@ class TestControllerUpdate:
         sim.controller_update(0.0)
         np.testing.assert_array_equal(sim.ofo_state.u, u0)
         assert any("set-point update skipped" in m for _, m in sim.event_log)
+
+    def test_islanded_model_holds_input(self, grid):
+        """Erasing 2-30 islands bus 30 in the controller's model: after a
+        trip of 23-24 the sample is skipped and the input held."""
+        sim = DynamicSimulation(grid, sensitivity_topology="2-30")
+        sim.set_line_status("23-24", False)
+        u0 = sim.ofo_state.u.copy()
+        sim.controller_update(5.0)
+        np.testing.assert_array_equal(sim.ofo_state.u, u0)
+        assert sim.event_log == [
+            (5.0, "sensitivity update skipped: grid islanded; "
+                  "disconnected buses: [30]")]
+
+    def test_model_follows_plant_topology(self, grid):
+        """The controller's model tracks trips and recloses of the plant,
+        and the erased line stays out of it throughout."""
+        sim = DynamicSimulation(grid, sensitivity_topology="16-17")
+
+        def in_service(net):
+            return {ln.id: ln.in_service for ln in net.lines}
+
+        for line, status in (("23-24", False), ("23-24", True)):
+            sim.set_line_status(line, status)
+            plant, model = in_service(sim._net_now), in_service(sim._model_net)
+            assert plant["23-24"] is status and plant["16-17"]
+            assert model == {**plant, "16-17": False}
