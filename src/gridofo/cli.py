@@ -26,7 +26,7 @@ from .errors import GridDataError, GridOfoError
 from .network import solve_power_flow
 from .ofo import default_config
 from .plotting import gap_chart, power_chart, setpoint_chart, sweep_chart
-from .simulator import LINE_TRIP, check_events, run_scenario
+from .simulator import ACTIVATE_OFO, LINE_TRIP, check_events, run_scenario
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -118,7 +118,8 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_worker(task):
-    """Run one sweep entry in a worker process; returns a plain tuple."""
+    """Run one sweep member in a worker process; returns (failure text or
+    None, t, vgap)."""
     grid_path, scenario_path, topology = task
     grid = load_grid(grid_path)
     scen = load_scenario(scenario_path)
@@ -127,24 +128,16 @@ def _sweep_worker(task):
         traj = run_scenario(grid, scen.events, ofo_cfg, scen.sim,
                             sensitivity_topology=topology)
     except GridOfoError as exc:
-        return (topology, "failed", f"{type(exc).__name__}: {exc}",
-                None, None, None)
-    return (topology, "ok", "", traj.t, traj.vgap, traj.events)
-
-
-def _activation_time(events) -> float:
-    for ev in events:
-        if ev.kind == "activate_ofo":
-            return ev.time
-    return 0.0
+        return f"{type(exc).__name__}: {exc}", None, None
+    return None, traj.t, traj.vgap
 
 
 def cmd_robustness(args) -> int:
     grid = load_grid(args.grid)
     scen = load_scenario(args.scenario)
-    # reject bad input here: a worker would report it as a failed member
-    check_events(grid.net, scen.events, scen.sim)
     period = default_config(grid.net, **scen.ofo).sampling_period
+    # reject bad input here: a worker would report it as a failed member
+    schedule, _ = check_events(grid.net, scen.events, scen.sim, period)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -154,7 +147,7 @@ def cmd_robustness(args) -> int:
     post_net = grid.net
     for lid in tripped:
         post_net = post_net.with_line_out(lid)
-    tasks = [(args.grid, args.scenario, None)]
+    members = [None]  # None is the nominal run, with the plant's topology
     skipped = []
     for ln in grid.net.lines:
         if ln.id in tripped or not ln.in_service:
@@ -162,20 +155,22 @@ def cmd_robustness(args) -> int:
         if post_net.with_line_out(ln.id).islanded_buses():
             skipped.append((ln.id, "removal islands the post-contingency grid"))
             continue
-        tasks.append((args.grid, args.scenario, ln.id))
+        members.append(ln.id)
 
     with ProcessPoolExecutor() as pool:
-        results = list(pool.map(_sweep_worker, tasks))
-    results.sort(key=lambda r: (r[0] is not None, r[0]))
+        results = dict(zip(members, pool.map(
+            _sweep_worker, [(args.grid, args.scenario, m) for m in members])))
 
-    t_on = _activation_time(scen.events)
-    nominal = next(r for r in results if r[0] is None)
-    if nominal[1] != "ok":
-        print(f"nominal run failed: {nominal[2]}", file=sys.stderr)
+    failure, t, nominal = results.pop(None)
+    if failure is not None:
+        print(f"nominal run failed: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
-    t = nominal[3]
+    # the simulator's own clock: the float that `t` records at that step
+    k_on = next((k for k, evs in schedule.items()
+                 if any(ev.kind == ACTIVATE_OFO for ev in evs)), 0)
+    t_on = k_on * scen.sim.dt
     i_on = int(np.searchsorted(t, t_on))
-    peak = float(nominal[4][:i_on].max())
+    peak = float(nominal[:i_on].max())
 
     def stats(vgap):
         g_on = vgap[i_on]
@@ -187,20 +182,18 @@ def cmd_robustness(args) -> int:
                 halve = str(k)
                 break
         stable = post.max() <= 3.0 * peak and vgap[-1] < peak
-        return post.max(), vgap[-1], halve, stable
+        return [_num(post.max()), _num(vgap[-1]), halve,
+                "stable" if stable else "unstable"]
 
-    gap_by_line = {}
-    rows = []
-    for topo, status, reason, rt, vgap, _ in results:
-        name = topo if topo is not None else "nominal"
-        if status != "ok":
-            rows.append([name, status, reason, "", "", "", ""])
+    gap_by_line = {}  # in line id order, as the rows
+    rows = [["nominal", "ok", "", *stats(nominal)]]
+    for line_id in sorted(results):
+        failure, _, vgap = results[line_id]
+        if failure is not None:
+            rows.append([line_id, "failed", failure, "", "", "", ""])
             continue
-        max_gap, final_gap, halve, stable = stats(vgap)
-        rows.append([name, "ok", "", _num(max_gap), _num(final_gap),
-                     halve, "stable" if stable else "unstable"])
-        if topo is not None:
-            gap_by_line[topo] = vgap
+        rows.append([line_id, "ok", "", *stats(vgap)])
+        gap_by_line[line_id] = vgap
     for line_id, reason in sorted(skipped):
         rows.append([line_id, "skipped", reason, "", "", "", ""])
 
@@ -210,15 +203,14 @@ def cmd_robustness(args) -> int:
                     "iterations_to_halve", "stability"])
         w.writerows(rows)
 
-    ok_ids = sorted(gap_by_line)
     with open(out / "sweep_gaps.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "nominal"] + [f"gap_{i}" for i in ok_ids])
+        w.writerow(["t", "nominal"] + [f"gap_{i}" for i in gap_by_line])
         for k in range(t.size):
-            w.writerow([_num(t[k]), _num(nominal[4][k])]
-                       + [_num(gap_by_line[i][k]) for i in ok_ids])
+            w.writerow([_num(t[k]), _num(nominal[k])]
+                       + [_num(g[k]) for g in gap_by_line.values()])
 
-    sweep_chart(t, gap_by_line, nominal[4]).write(out / "sweep.svg")
+    sweep_chart(t, gap_by_line, nominal).write(out / "sweep.svg")
     n_ok = len(gap_by_line)
     n_unstable = sum(1 for r in rows if r[6] == "unstable")
     print(f"sweep: {n_ok} perturbed runs, {len(skipped)} skipped, "

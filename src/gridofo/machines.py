@@ -14,11 +14,11 @@ source ``y_int * internal_emf(state)`` behind the admittance ``y_int``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
+from .controls import _ParamSet
 from .errors import GridDataError, MachineInitError, SimulationBlowupError
 
 # state vector layout
@@ -60,17 +60,14 @@ class MachineParams:
             raise GridDataError(f"machine {self.name}: need X_q >= X_q' >= X_q''")
 
 
-class MachineSet:
+class MachineSet(_ParamSet):
     """Stacked parameter arrays for a fleet; same attribute names as MachineParams."""
 
-    def __init__(self, params: Sequence[MachineParams]):
-        self.params = tuple(params)
-        self.n = len(self.params)
-        self.names = [p.name for p in self.params]
-        for f in fields(MachineParams):
-            if f.name == "name":
-                continue
-            setattr(self, f.name, np.array([getattr(p, f.name) for p in self.params]))
+    cls = MachineParams
+
+    @property
+    def names(self) -> list[str]:
+        return [p.name for p in self.params]
 
 
 def rotor_rotation(delta):

@@ -75,13 +75,15 @@ def default_config(net: NetworkModel, **overrides) -> OfoConfig:
     for key, val in overrides.items():
         if key not in base:
             raise GridDataError(f"ofo: unknown config field {key!r}")
-        default = base[key]
-        if isinstance(default, np.ndarray):
-            if np.isscalar(val):
-                val = np.full_like(default, float(val))
-            elif np.shape(val) != default.shape:
-                raise GridDataError(f"ofo: {key} needs {default.size} entries")
-        base[key] = val
+        shape = np.shape(base[key])
+        try:
+            val = np.asarray(val, dtype=float)
+        except (TypeError, ValueError):
+            val = None
+        if val is None or val.shape not in ((), shape):
+            want = f"a number or {np.size(base[key])} numbers" if shape else "a number"
+            raise GridDataError(f"ofo: {key} needs {want}")
+        base[key] = np.full(shape, val) if shape else float(val)
     return OfoConfig(**base)
 
 

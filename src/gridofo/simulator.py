@@ -11,11 +11,13 @@ state and the stator currents. Control blocks advance once per step, before
 the RK4 stages, with their inputs frozen over the step: one precomputed
 control kernel per step size (`controls.ControlKernel`) advances the
 governors, PSSs, exciters and AGC together, from the rotor speeds and the
-generator-bus voltages that the first RK4 stage also uses. A timed event engine
-applies line trips, recloses (optionally guarded by the breaker angle),
+generator-bus voltages that the first RK4 stage also uses. Every scenario
+time is resolved to a whole number of `dt` steps, or refused, before a run
+starts; the event engine then applies, by step index, line trips, recloses
+(a guarded one waits until the breaker angle is under its guard),
 controller activation and direct set-point overrides. The controller's model
-topology is built with each plant topology; a controller sample passes its
-measured bus loads to the model power flow as an argument.
+topology and its islanded buses are settled with each plant topology; a
+controller sample passes its measured bus loads to the model power flow.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ _BLOWUP_LIMIT = 1e6
 _SOLVE_RTOL = 1e-8
 
 
+def _steps(seconds: float, dt: float, what: str) -> int:
+    """`seconds` in `dt` steps, if within 1e-9 steps of a whole number;
+    GridDataError otherwise."""
+    k = seconds / dt
+    if not np.isfinite(k) or abs(k - round(k)) > 1e-9:
+        raise GridDataError(f"{what}={seconds:g} is not on the time grid (dt={dt:g})")
+    return round(k)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     t_end: float
@@ -75,10 +86,9 @@ class SimConfig:
     record_every: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.dt <= self.record_every:
-            raise GridDataError("sim: need 0 < dt <= record_every")
-        if abs(self.record_every / self.dt - round(self.record_every / self.dt)) > 1e-9:
-            raise GridDataError("sim: record_every must be a multiple of dt")
+        if not (0 < self.dt <= self.record_every and 0 <= self.t_end < np.inf):
+            raise GridDataError("sim: need 0 < dt <= record_every and a finite t_end >= 0")
+        _steps(self.record_every, self.dt, "sim: record_every")
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,6 @@ class DynamicSimulation:
                  sensitivity_topology: Optional[str] = None):
         self.grid = grid
         net = grid.net
-        self.net = net
         self.mach = grid.machines
         if self.mach.n != net.n_gen:
             raise GridDataError("one machine per generator required")
@@ -195,6 +204,8 @@ class DynamicSimulation:
         self._Z = W[self.gen_idx]
         topo = self.sensitivity_topology
         self._model_net = net_now if topo is None else net_now.with_line_out(topo)
+        # with no erased line the model is the plant, connected (checked above)
+        self._model_lost = () if topo is None else self._model_net.islanded_buses()
 
     def set_line_status(self, line_id: str, in_service: bool) -> bool:
         """Returns True when the status actually changed (trip is idempotent)."""
@@ -206,32 +217,25 @@ class DynamicSimulation:
 
     # -- algebraic network and derivatives ----------------------------------
 
-    def bus_voltages(self, x: Optional[np.ndarray] = None) -> np.ndarray:
-        x = self.x if x is None else x
-        return self._W @ mc.internal_emf(x)
+    def bus_voltages(self) -> np.ndarray:
+        return self._W @ mc.internal_emf(self.x)
 
-    def _frame(self, x: np.ndarray, V: Optional[np.ndarray] = None):
+    def _frame(self, x: np.ndarray):
         """Rotor-to-grid rotation, dq subtransient EMFs and generator-bus
-        voltages of state x.
-
-        The voltages come from the reduced network, or from the bus voltages
-        V when given.
-        """
+        voltages (from the reduced network) of state x."""
         rot = np.exp(1j * (x[:, mc.DELTA] - np.pi / 2))
         e_dq = x[:, mc.ED_PP] + 1j * x[:, mc.EQ_PP]
-        vg = self._Z @ (e_dq * rot) if V is None else V[self.gen_idx]
-        return rot, e_dq, vg
+        return rot, e_dq, self._Z @ (e_dq * rot)
 
-    def _derivs(self, x: np.ndarray, V: Optional[np.ndarray] = None,
-                frame=None):
+    def _derivs(self, x: np.ndarray, frame=None):
         """machine_derivatives of the fleet at state x, fused.
 
-        `frame` is `_frame(x, V)`, when the caller has it already.
+        `frame` is `_frame(x)`, when the caller has it already.
         """
         omega = 1.0 + x[:, mc.OMEGA]
         if not omega.min() > 0:  # also trips on NaN
             raise SimulationBlowupError("rotor speed reached zero or is not finite")
-        rot, e_dq, vg = self._frame(x, V) if frame is None else frame
+        rot, e_dq, vg = self._frame(x) if frame is None else frame
         # stator currents I_d + j I_q = (E''_dq - v_dq) / (R + j X_d'')
         i_dq = self.y_int * (e_dq - vg * rot.conj())
         p_e = (e_dq.conj() * i_dq).real  # E_d'' I_d + E_q'' I_q
@@ -278,9 +282,8 @@ class DynamicSimulation:
         load = self._load * (y_m.v / self._v0_mag) ** 2
         st = self.ofo_state
         try:
-            lost = model_net.islanded_buses()
-            if lost:
-                raise IslandingError(lost)
+            if self._model_lost:
+                raise IslandingError(self._model_lost)
             sol = None
             for warm in (self._sens_warm, None):
                 try:
@@ -309,20 +312,25 @@ class DynamicSimulation:
             self.event_log.append((t, f"set-point update skipped: {exc}"))
 
 
-def check_events(net, events: Sequence[Event], sim_cfg: SimConfig) -> None:
-    """Reject events that do not fit the grid or the time grid.
+def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
+                 sampling_period: float) -> tuple[dict[int, list[Event]], int]:
+    """Resolve a scenario's times to steps of the time grid.
 
-    Unknown lines, malformed inputs, times between steps and times after the
-    last step are refused, instead of being moved or dropped.
+    Returns the events by the step at which they apply, in time order, and
+    the sampling period in steps. Unknown lines, malformed inputs, times
+    between steps or after the last step, and a sampling period under one
+    step are refused, instead of being moved or dropped.
     """
     n_u = 2 * net.n_gen
-    last_step = round(sim_cfg.t_end / sim_cfg.dt)
-    for ev in events:
-        k = ev.time / sim_cfg.dt
-        if not np.isfinite(k) or abs(k - round(k)) > 1e-9:
-            raise GridDataError(
-                f"event at t={ev.time:g}: not on the time grid (dt={sim_cfg.dt:g})")
-        if round(k) > last_step:
+    dt = sim_cfg.dt
+    sample_steps = _steps(sampling_period, dt, "ofo: sampling_period")
+    if sample_steps < 1:
+        raise GridDataError(f"ofo: sampling_period below dt={dt:g}")
+    last_step = round(sim_cfg.t_end / dt)
+    schedule: dict[int, list[Event]] = {}
+    for ev in sorted(events, key=lambda e: e.time):
+        k = _steps(ev.time, dt, "event time")
+        if k > last_step:
             raise GridDataError(
                 f"event at t={ev.time:g}: after t_end={sim_cfg.t_end:g}")
         if ev.kind in (LINE_TRIP, LINE_RECLOSE):
@@ -335,67 +343,57 @@ def check_events(net, events: Sequence[Event], sim_cfg: SimConfig) -> None:
             if u is None or u.shape != (n_u,) or not np.all(np.isfinite(u)):
                 raise GridDataError(
                     f"event at t={ev.time:g}: set_input u needs {n_u} finite entries")
+        schedule.setdefault(k, []).append(ev)
+    return schedule, sample_steps
 
 
 def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[OfoConfig],
                  sim_cfg: SimConfig,
                  sensitivity_topology: Optional[str] = None) -> Trajectory:
     """Run one closed-loop scenario and record the trajectory."""
-    check_events(grid.net, events, sim_cfg)
+    if ofo_cfg is None:
+        ofo_cfg = default_config(grid.net)
+    schedule, samp_stride = check_events(grid.net, events, sim_cfg,
+                                         ofo_cfg.sampling_period)
     sim = DynamicSimulation(grid, ofo_cfg, sensitivity_topology)
     dt = sim_cfg.dt
-    n_steps = int(round(sim_cfg.t_end / dt))
-    rec_stride = int(round(sim_cfg.record_every / dt))
-    samp = sim.ofo_cfg.sampling_period
-    samp_stride = int(round(samp / dt))
-    if abs(samp / dt - samp_stride) > 1e-9 or samp_stride < 1:
-        raise GridDataError("ofo sampling_period must be a multiple of sim dt")
-
-    events = sorted(events, key=lambda e: e.time)
-    next_event = 0
-    pending_reclose: list[Event] = []
+    n_steps = round(sim_cfg.t_end / dt)
+    rec_stride = round(sim_cfg.record_every / dt)
+    blocked: list[Event] = []  # guarded recloses waiting for the angle
     activate_step = 0
 
     rec: dict[str, list] = {k: [] for k in (
         "t", "vgap", "v", "dtheta", "flows", "p_ofo", "v_ofo", "p_m")}
 
-    def apply_event(ev: Event, t: float):
-        nonlocal activate_step
-        if ev.kind == LINE_TRIP:
-            changed = sim.set_line_status(ev.line_id, False)
-            sim.event_log.append(
-                (t, f"line {ev.line_id} tripped" if changed
-                 else f"line {ev.line_id} already out; trip ignored"))
-        elif ev.kind == LINE_RECLOSE:
-            if ev.guard_max_angle_deg is not None:
-                gap_deg = abs(np.degrees(sim.measurement(t).delta_theta))
-                if gap_deg >= ev.guard_max_angle_deg:
-                    if ev not in pending_reclose:
-                        pending_reclose.append(ev)
+    for k in range(n_steps + 1):
+        t = k * dt
+        for ev in schedule.get(k, []) + blocked:
+            if ev.kind == LINE_TRIP:
+                changed = sim.set_line_status(ev.line_id, False)
+                sim.event_log.append(
+                    (t, f"line {ev.line_id} tripped" if changed
+                     else f"line {ev.line_id} already out; trip ignored"))
+            elif ev.kind == LINE_RECLOSE:
+                guard = ev.guard_max_angle_deg
+                if guard is not None and (gap_deg := abs(np.degrees(
+                        sim.measurement(t).delta_theta))) >= guard:
+                    if ev not in blocked:
+                        blocked.append(ev)
                         sim.event_log.append(
                             (t, f"reclose of {ev.line_id} blocked: "
                                 f"angle {gap_deg:.1f} deg above guard"))
-                    return
-            if ev in pending_reclose:
-                pending_reclose.remove(ev)
-            changed = sim.set_line_status(ev.line_id, True)
-            if changed:
-                sim.event_log.append((t, f"line {ev.line_id} reclosed"))
-        elif ev.kind == ACTIVATE_OFO:
-            activate_step = round(t / dt)
-            sim.ofo_state = replace(sim.ofo_state, active=True)
-            sim.event_log.append((t, "OFO controller activated"))
-        elif ev.kind == SET_INPUT:
-            sim.ofo_state = replace(sim.ofo_state, u=ev.u)
-            sim.event_log.append((t, "set-point override applied"))
-
-    for k in range(n_steps + 1):
-        t = k * dt
-        while next_event < len(events) and events[next_event].time <= t + 1e-9:
-            apply_event(events[next_event], t)
-            next_event += 1
-        for ev in list(pending_reclose):
-            apply_event(ev, t)
+                    continue
+                if ev in blocked:
+                    blocked.remove(ev)
+                if sim.set_line_status(ev.line_id, True):
+                    sim.event_log.append((t, f"line {ev.line_id} reclosed"))
+            elif ev.kind == ACTIVATE_OFO:
+                activate_step = k
+                sim.ofo_state = replace(sim.ofo_state, active=True)
+                sim.event_log.append((t, "OFO controller activated"))
+            else:  # SET_INPUT
+                sim.ofo_state = replace(sim.ofo_state, u=ev.u)
+                sim.event_log.append((t, "set-point override applied"))
 
         if sim.ofo_state.active and (k - activate_step) % samp_stride == 0:
             sim.controller_update(t)
@@ -414,14 +412,5 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
         if k < n_steps:
             sim.step(dt)
 
-    return Trajectory(
-        t=np.array(rec["t"]),
-        vgap=np.array(rec["vgap"]),
-        v=np.array(rec["v"]),
-        dtheta=np.array(rec["dtheta"]),
-        flows=np.array(rec["flows"]),
-        p_ofo=np.array(rec["p_ofo"]),
-        v_ofo=np.array(rec["v_ofo"]),
-        p_m=np.array(rec["p_m"]),
-        events=list(sim.event_log),
-    )
+    return Trajectory(**{key: np.array(rows) for key, rows in rec.items()},
+                      events=list(sim.event_log))

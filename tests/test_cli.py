@@ -19,11 +19,26 @@ BAD_SCENARIOS = {
         {"time": 2.0, "kind": "set_input", "u": [0.0] * 3}),
     "nan_p_max": lambda doc: doc["ofo"].update(p_max=NAN),
     "short_p_min": lambda doc: doc["ofo"].update(p_min=[0, 0]),
+    "text_alpha": lambda doc: doc["ofo"].update(alpha="x"),
+    "text_p_min": lambda doc: doc["ofo"].update(p_min=["x"] * 10),
+    "ragged_p_min": lambda doc: doc["ofo"].update(p_min=[0.0] * 9 + [[0.0, 0.0]]),
     # dt = 0.01 and t_end = 12 in short_scenario
     "off_time_grid": lambda doc: doc["events"][1].update(time=5.004),
     "after_t_end": lambda doc: doc["events"][1].update(time=12.5),
     "nan_time": lambda doc: doc["events"][1].update(time=NAN),
+    "off_grid_sampling": lambda doc: doc["ofo"].update(sampling_period=0.503),
+    "nan_t_end": lambda doc: doc["sim"].update(t_end=NAN),
 }
+
+
+def bad_scenario(tmp_path, case):
+    path = short_scenario(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    BAD_SCENARIOS[case](doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
 
 
 def short_scenario(tmp_path, t_end=12.0, with_reclose=False):
@@ -118,12 +133,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
     def test_bad_scenario_is_input_error(self, tmp_path, capsys, case):
-        path = short_scenario(tmp_path)
-        with open(path) as fh:
-            doc = json.load(fh)
-        BAD_SCENARIOS[case](doc)
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        path = bad_scenario(tmp_path, case)
         code = main(["simulate", "--scenario", path,
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_INPUT
@@ -156,3 +166,13 @@ class TestRobustness:
         assert gap_rows[0][:2] == ["t", "nominal"]
         assert (out / "sweep.svg").exists()
         ET.parse(out / "sweep.svg")
+
+    @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+    def test_bad_scenario_is_input_error(self, tmp_path, capsys, case):
+        """Refused before any member runs, as by `simulate`."""
+        path = bad_scenario(tmp_path, case)
+        out = tmp_path / "o"
+        code = main(["robustness", "--scenario", path, "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()

@@ -25,7 +25,7 @@ from gridofo.errors import (
     OfoStepError,
     SimulationBlowupError,
 )
-from gridofo.network import build_ybus
+from gridofo.network import NetworkModel, build_ybus
 from gridofo.ofo import ofo_update
 from gridofo.qp import MAX_ITER, QpSolution
 from gridofo.sensitivity import compute_sensitivity
@@ -33,6 +33,7 @@ from gridofo.simulator import (
     DynamicSimulation,
     Event,
     SimConfig,
+    check_events,
     run_scenario,
 )
 
@@ -43,6 +44,23 @@ class TestConfigValidation:
             SimConfig(t_end=1.0, dt=0.2, record_every=0.1)
         with pytest.raises(GridDataError):
             SimConfig(t_end=1.0, dt=0.003, record_every=0.01)
+
+    def test_events_resolved_to_steps(self, grid):
+        """Times within 1e-9 steps of the grid map to their step, in time
+        order within a step; the sampling period maps to its step count."""
+        cfg = SimConfig(t_end=5.0, dt=2.5, record_every=2.5)
+        late = Event(time=5.0 + 1.25e-9, kind="line_reclose", line_id="23-24")
+        trip = Event(time=5.0, kind="line_trip", line_id="23-24")
+        early = Event(time=2.5 - 1.25e-9, kind="activate_ofo")
+        schedule, sample_steps = check_events(grid.net, [late, early, trip],
+                                              cfg, 5.0)
+        assert schedule == {1: [early], 2: [trip, late]}
+        assert sample_steps == 2
+
+    @pytest.mark.parametrize("period", [0.503, 1e-12, np.nan])
+    def test_sampling_period_checked(self, grid, period):
+        with pytest.raises(GridDataError, match="sampling_period"):
+            check_events(grid.net, [], SimConfig(t_end=1.0, dt=0.01), period)
 
     def test_event_validation(self):
         with pytest.raises(GridDataError):
@@ -111,8 +129,7 @@ class TestKronReduction:
                 sim.step(dt)
             V_ref, d_ref = full_network(sim, sim.x)
             for got, want in ((sim.bus_voltages(), V_ref),
-                              (sim._derivs(sim.x), d_ref),
-                              (sim._derivs(sim.x, V_ref), d_ref)):
+                              (sim._derivs(sim.x), d_ref)):
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
@@ -299,6 +316,13 @@ class TestEvents:
         assert blocked and closed
         assert closed[0] > 2.0
 
+    def test_event_near_grid_applied(self, grid):
+        """A trip 8e-10 steps after t_end is applied at the last step."""
+        traj = run_scenario(
+            grid, [Event(time=5.000000002, kind="line_trip", line_id="23-24")],
+            None, SimConfig(t_end=5.0, dt=2.5, record_every=2.5))
+        assert traj.events == [(5.0, "line 23-24 tripped")]
+
     def test_set_input_override(self, grid):
         n_gen = grid.net.n_gen
         u = np.concatenate([np.full(n_gen, 0.1),
@@ -366,6 +390,23 @@ class TestControllerUpdate:
         assert sim.event_log == [
             (5.0, "sensitivity update skipped: grid islanded; "
                   "disconnected buses: [30]")]
+
+    @pytest.mark.parametrize("topology", [None, "2-30", "16-17"])
+    def test_islanding_checked_once_per_topology(self, grid, monkeypatch,
+                                                 topology):
+        """Samples on one topology walk no graph: the model's islanded buses
+        are settled when its topology is built."""
+        sim = DynamicSimulation(grid, sensitivity_topology=topology)
+        sim.set_line_status("23-24", False)
+        walks = []
+        orig = NetworkModel.connected_components
+        monkeypatch.setattr(NetworkModel, "connected_components",
+                            lambda net: walks.append(net) or orig(net))
+        for t in (5.0, 10.0, 15.0):
+            sim.controller_update(t)
+        assert walks == []
+        skips = [t for t, m in sim.event_log if "grid islanded" in m]
+        assert skips == ([5.0, 10.0, 15.0] if topology == "2-30" else [])
 
     def test_model_follows_plant_topology(self, grid):
         """The controller's model tracks trips and recloses of the plant,
