@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -51,12 +52,9 @@ def _write_trajectory_csv(path, traj, n_gen: int):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for k in range(traj.t.size):
-            row = ([traj.t[k], traj.vgap[k]] + list(traj.v[k])
-                   + [traj.dtheta[k]] + list(traj.flows[k])
-                   + list(traj.p_ofo[k]) + list(traj.v_ofo[k])
-                   + list(traj.p_m[k]))
-            w.writerow([_num(x) for x in row])
+        rows = np.column_stack((traj.t, traj.vgap, traj.v, traj.dtheta, traj.flows,
+                                traj.p_ofo, traj.v_ofo, traj.p_m))
+        w.writerows([_num(x) for x in row] for row in rows)
 
 
 def _write_events_log(path, events):
@@ -137,7 +135,7 @@ def cmd_robustness(args) -> int:
     scen = load_scenario(args.scenario)
     period = default_config(grid.net, **scen.ofo).sampling_period
     # reject bad input here: a worker would report it as a failed member
-    schedule, _ = check_events(grid.net, scen.events, scen.sim, period)
+    schedule, sample_steps = check_events(grid.net, scen.events, scen.sim, period)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -165,20 +163,19 @@ def cmd_robustness(args) -> int:
     if failure is not None:
         print(f"nominal run failed: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # the simulator's own clock: the float that `t` records at that step
+    # rows by step index: the first recorded row at or after a step
     k_on = next((k for k, evs in schedule.items()
                  if any(ev.kind == ACTIVATE_OFO for ev in evs)), 0)
-    t_on = k_on * scen.sim.dt
-    i_on = int(np.searchsorted(t, t_on))
+    rec_stride = round(scen.sim.record_every / scen.sim.dt)
+    i_on = math.ceil(k_on / rec_stride)
     peak = float(nominal[:i_on].max())
 
     def stats(vgap):
         g_on = vgap[i_on]
         post = vgap[i_on:]
         halve = ""
-        for k in range(1, int((t[-1] - t_on) / period) + 1):
-            idx = int(np.searchsorted(t, t_on + k * period))
-            if idx < vgap.size and vgap[idx] <= 0.5 * g_on:
+        for k in range(1, (rec_stride * (t.size - 1) - k_on) // sample_steps + 1):
+            if vgap[math.ceil((k_on + k * sample_steps) / rec_stride)] <= 0.5 * g_on:
                 halve = str(k)
                 break
         stable = post.max() <= 3.0 * peak and vgap[-1] < peak

@@ -110,6 +110,7 @@ class AgcParams:
     beta: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", tuple(self.beta))
         b = np.asarray(self.beta, dtype=float)
         if np.any(b < 0):
             raise GridDataError("agc: participation factors must be >= 0")

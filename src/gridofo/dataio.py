@@ -1,4 +1,9 @@
-"""Grid and scenario file loading (JSON)."""
+"""Grid and scenario file loading (JSON).
+
+Each JSON object goes whole into the dataclass that owns its fields and
+checks, so a missing or unknown key or a value of the wrong type is a
+GridDataError that names the file. Machines pair with generators by name,
+control blocks by position."""
 
 from __future__ import annotations
 
@@ -65,20 +70,24 @@ def load_grid(path) -> GridData:
             monitored_pair=tuple(_require(doc, "monitored_pair", str(path))),
             frequency=float(doc.get("frequency", 60.0)),
         )
-        machines = MachineSet([MachineParams(**m) for m in _require(doc, "machines", str(path))])
+        params = [MachineParams(**m) for m in _require(doc, "machines", str(path))]
+        by_name = {m.name: m for m in params}
+        for g in net.generators:
+            if g.machine not in by_name:
+                raise GridDataError(f"{path}: generator references unknown machine {g.machine!r}")
+        machines = MachineSet([by_name[g.machine] for g in net.generators])
+        # control blocks pair with generators by position
         governors = GovernorSet([GovernorParams(**g) for g in _require(doc, "governors", str(path))])
         exciters = ExciterSet([ExciterParams(**e) for e in _require(doc, "exciters", str(path))])
         pss = PssSet([PssParams(**p) for p in _require(doc, "pss", str(path))])
         agc_doc = dict(_require(doc, "agc", str(path)))
-        agc_doc["lam"] = agc_doc.pop("lambda")
-        agc = AgcParams(beta=tuple(agc_doc.pop("beta")), **agc_doc)
-    except TypeError as exc:
+        _require(agc_doc, "lambda", f"{path}: agc")
+        agc = AgcParams(lam=agc_doc.pop("lambda"), **agc_doc)
+    except (TypeError, ValueError) as exc:
         raise GridDataError(f"{path}: {exc}") from None
 
-    by_name = {m.name: m for m in machines.params}
-    for g in net.generators:
-        if g.machine not in by_name:
-            raise GridDataError(f"{path}: generator references unknown machine {g.machine!r}")
+    if not len(set(machines.names)) == net.n_gen == len(params):
+        raise GridDataError(f"{path}: one machine per generator required, each named once")
     for name, block in (("governors", governors), ("exciters", exciters), ("pss", pss)):
         if block.n != net.n_gen:
             raise GridDataError(f"{path}: {name} must have one entry per generator")
@@ -96,24 +105,13 @@ class ScenarioData:
 
 def load_scenario(path) -> ScenarioData:
     doc = _load_json(path)
-    sim_doc = _require(doc, "sim", str(path))
-    sim = SimConfig(
-        dt=float(sim_doc.get("dt", 5e-3)),
-        t_end=float(_require(sim_doc, "t_end", "sim")),
-        record_every=float(sim_doc.get("record_every", 0.1)),
-    )
-    events = []
-    for e in doc.get("events", []):
-        events.append(
-            Event(
-                time=float(_require(e, "time", "event")),
-                kind=str(_require(e, "kind", "event")),
-                line_id=e.get("line_id"),
-                u=e.get("u"),
-                guard_max_angle_deg=e.get("guard_max_angle_deg"),
-            )
-        )
-    return ScenarioData(events=tuple(events), sim=sim, ofo=doc.get("ofo", {}))
+    try:
+        sim = SimConfig(**_require(doc, "sim", str(path)))
+        events = tuple(Event(**e) for e in doc.get("events", []))
+        ofo = dict(doc.get("ofo", {}))
+    except (TypeError, ValueError) as exc:
+        raise GridDataError(f"{path}: {exc}") from None
+    return ScenarioData(events=events, sim=sim, ofo=ofo)
 
 
 def bundled_path(name: str) -> Path:

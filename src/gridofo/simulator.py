@@ -106,6 +106,11 @@ class Event:
             raise GridDataError(f"event: unknown kind {self.kind!r}")
         if self.kind in (LINE_TRIP, LINE_RECLOSE) and not self.line_id:
             raise GridDataError(f"event: {self.kind} requires line_id")
+        guard = self.guard_max_angle_deg
+        if guard is not None and not (self.kind == LINE_RECLOSE
+                                      and isinstance(guard, (int, float)) and 0 < guard < np.inf):
+            raise GridDataError("event: guard_max_angle_deg must be a finite number > 0, "
+                                f"on a {LINE_RECLOSE} only")
 
 
 @dataclass
@@ -129,8 +134,6 @@ class DynamicSimulation:
         self.grid = grid
         net = grid.net
         self.mach = grid.machines
-        if self.mach.n != net.n_gen:
-            raise GridDataError("one machine per generator required")
         self.omega_base = 2 * np.pi * net.frequency
         self.gen_idx = net.gen_bus_indices
         self.ofo_cfg = ofo_cfg if ofo_cfg is not None else default_config(net)

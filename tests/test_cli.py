@@ -3,13 +3,23 @@
 import csv
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gridofo.cli import EXIT_INPUT, EXIT_OK, main
+from gridofo.dataio import bundled_path
 
 NAN = float("nan")
+
+
+def _reclose(**guard):
+    return lambda doc: doc["events"].append(
+        {"time": 8.0, "kind": "line_reclose", "line_id": "23-24", **guard})
+
+
 # scenario edits that must be refused before the first step; 20 = 2 * n_gen
 BAD_SCENARIOS = {
     "unknown_line": lambda doc: doc["events"][0].update(line_id="1-99"),
@@ -28,6 +38,36 @@ BAD_SCENARIOS = {
     "nan_time": lambda doc: doc["events"][1].update(time=NAN),
     "off_grid_sampling": lambda doc: doc["ofo"].update(sampling_period=0.503),
     "nan_t_end": lambda doc: doc["sim"].update(t_end=NAN),
+    "list_ofo": lambda doc: doc.update(ofo=[3.0, 5.0]),
+    "text_dt": lambda doc: doc["sim"].update(dt="x"),
+    "null_dt": lambda doc: doc["sim"].update(dt=None),
+    "text_time": lambda doc: doc["events"][0].update(time="1.0"),
+    "unknown_sim_key": lambda doc: doc["sim"].update(recordevery=0.1),
+    "misspelt_guard_key": _reclose(guard_max_angle=30.0),
+    "text_guard": _reclose(guard_max_angle_deg="x"),
+    "nan_guard": _reclose(guard_max_angle_deg=NAN),
+    "negative_guard": _reclose(guard_max_angle_deg=-1.0),
+    "zero_guard": _reclose(guard_max_angle_deg=0.0),
+    "guard_on_trip": lambda doc: doc["events"][0].update(guard_max_angle_deg=30.0),
+}
+
+
+def _set_machine(i, name):
+    return lambda doc: doc["generators"][i].update(machine=name)
+
+
+# grid edits that must be refused by load_grid
+BAD_GRIDS = {
+    "text_frequency": lambda doc: doc.update(frequency="x"),
+    "text_base_mva": lambda doc: doc.update(base_mva="x"),
+    "short_monitored_pair": lambda doc: doc.update(monitored_pair=[23]),
+    "no_agc_lambda": lambda doc: doc["agc"].pop("lambda"),
+    "no_agc_beta": lambda doc: doc["agc"].pop("beta"),
+    "unknown_machine": _set_machine(0, "G99"),
+    "shared_machine": _set_machine(1, "G30"),
+    "repeated_machine": lambda doc: doc["machines"].append(doc["machines"][0]),
+    "unused_machine": lambda doc: doc["machines"].append(
+        dict(doc["machines"][0], name="G99")),
 }
 
 
@@ -67,6 +107,15 @@ class TestPowerflow:
     def test_malformed_grid(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
+        assert main(["powerflow", "--grid", str(bad)]) == EXIT_INPUT
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+    def test_bad_grid_is_input_error(self, tmp_path, capsys, case):
+        doc = json.loads(bundled_path("ieee39.json").read_text())
+        BAD_GRIDS[case](doc)
+        bad = tmp_path / "grid.json"
+        bad.write_text(json.dumps(doc))
         assert main(["powerflow", "--grid", str(bad)]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 
@@ -126,6 +175,23 @@ class TestSimulate:
         assert ((out1 / "trajectory.csv").read_bytes()
                 == (out2 / "trajectory.csv").read_bytes())
 
+    def test_integer_numbers_give_same_run(self, tmp_path):
+        """JSON integers load as the numbers they are: the run is the one
+        their float spelling gives."""
+        floats = short_scenario(tmp_path)
+        doc = json.loads(Path(floats).read_text())
+        doc["sim"]["t_end"] = 12
+        for ev, time in zip(doc["events"], (1, 5)):
+            ev["time"] = time
+        doc["ofo"] = {"alpha": 3, "sampling_period": 5}
+        ints = tmp_path / "ints.json"
+        ints.write_text(json.dumps(doc))
+        out_f, out_i = tmp_path / "f", tmp_path / "i"
+        assert main(["simulate", "--scenario", floats, "--out", str(out_f)]) == EXIT_OK
+        assert main(["simulate", "--scenario", str(ints), "--out", str(out_i)]) == EXIT_OK
+        for name in ("trajectory.csv", "events.log"):
+            assert (out_f / name).read_bytes() == (out_i / name).read_bytes()
+
     def test_missing_scenario_is_input_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "o")])
@@ -166,6 +232,30 @@ class TestRobustness:
         assert gap_rows[0][:2] == ["t", "nominal"]
         assert (out / "sweep.svg").exists()
         ET.parse(out / "sweep.svg")
+
+    def test_halving_sample_found_by_step(self, tmp_path, monkeypatch):
+        """OFO from 0.2 s sampled every 0.2 s: sample 2 is the 0.6 s row,
+        though 0.2 + 2 * 0.2 is one ulp above the recorded 0.6."""
+        def stub(grid, events, ofo_cfg, sim_cfg, sensitivity_topology=None):
+            t = np.arange(0, 101, 10) * 0.01  # recorded steps times dt
+            vgap = np.ones(t.size)
+            vgap[6] = 0.4  # the 0.6 s row only
+            return SimpleNamespace(t=t, vgap=vgap)
+
+        # forked pool workers inherit the patch
+        monkeypatch.setattr("gridofo.cli.run_scenario", stub)
+        doc = {"events": [{"time": 0.1, "kind": "line_trip", "line_id": "23-24"},
+                          {"time": 0.2, "kind": "activate_ofo"}],
+               "sim": {"dt": 0.01, "t_end": 1.0, "record_every": 0.1},
+               "ofo": {"alpha": 3.0, "sampling_period": 0.2}}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        assert main(["robustness", "--scenario", str(scen), "--out", str(out)]) == EXIT_OK
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        halve = {r["iterations_to_halve"] for r in rows if r["status"] == "ok"}
+        assert halve == {"2"}
 
     @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
     def test_bad_scenario_is_input_error(self, tmp_path, capsys, case):

@@ -40,6 +40,18 @@ class TestGridLoading:
         with pytest.raises(GridDataError, match="governors"):
             load_grid(bad)
 
+    def test_machines_pair_by_name(self, tmp_path, grid):
+        """Machines pair with the generators that name them, in any order."""
+        doc = json.loads(bundled_path("ieee39.json").read_text())
+        m = doc["machines"]
+        m[0], m[1] = m[1], m[0]
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps(doc))
+        machines = load_grid(swapped).machines
+        assert machines.names == [g.machine for g in grid.net.generators]
+        assert machines.H[0] == 42.0
+        assert machines.params == grid.machines.params
+
 
 class TestScenarioLoading:
     def test_bundled_scenarios(self):

@@ -70,6 +70,13 @@ class TestConfigValidation:
         with pytest.raises(GridDataError):
             Event(time=1.0, kind="line_trip")
 
+    @pytest.mark.parametrize("kind, guard", [
+        ("line_reclose", "x"), ("line_reclose", np.nan), ("line_reclose", np.inf),
+        ("line_reclose", -1.0), ("line_reclose", 0.0), ("line_trip", 30.0)])
+    def test_reclose_guard_checked(self, kind, guard):
+        with pytest.raises(GridDataError, match="guard_max_angle_deg"):
+            Event(time=1.0, kind=kind, line_id="23-24", guard_max_angle_deg=guard)
+
 
 class TestInitialization:
     def test_network_matches_power_flow(self, grid, base_solution):
