@@ -136,6 +136,19 @@ def cmd_robustness(args) -> int:
     period = default_config(grid.net, **scen.ofo).sampling_period
     # reject bad input here: a worker would report it as a failed member
     schedule, sample_steps = check_events(grid.net, scen.events, scen.sim, period)
+    # the gap gates compare the rows before and after the activation row
+    k_on = next((k for k, evs in schedule.items()
+                 if any(ev.kind == ACTIVATE_OFO for ev in evs)), None)
+    if k_on is None:
+        raise GridDataError(f"robustness: the scenario needs an {ACTIVATE_OFO} event")
+    # rows by step index: the first recorded row at or after a step
+    rec_stride = round(scen.sim.record_every / scen.sim.dt)
+    i_on = math.ceil(k_on / rec_stride)
+    n_rows = round(scen.sim.t_end / scen.sim.dt) // rec_stride + 1
+    if not 0 < i_on < n_rows:
+        raise GridDataError(
+            f"robustness: {ACTIVATE_OFO} needs a recorded row before it and one "
+            f"at or after it (t={k_on * scen.sim.dt:g})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -163,11 +176,6 @@ def cmd_robustness(args) -> int:
     if failure is not None:
         print(f"nominal run failed: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # rows by step index: the first recorded row at or after a step
-    k_on = next((k for k, evs in schedule.items()
-                 if any(ev.kind == ACTIVATE_OFO for ev in evs)), 0)
-    rec_stride = round(scen.sim.record_every / scen.sim.dt)
-    i_on = math.ceil(k_on / rec_stride)
     peak = float(nominal[:i_on].max())
 
     def stats(vgap):

@@ -3,21 +3,26 @@
 Machine ODEs advance with RK4 against the algebraic network (machines as
 Norton sources, loads as constant impedances). The only current injections
 are at the generator internal nodes, so each topology's network is Kron
-reduced once, when it is built: the generator-bus voltages of a derivative
-evaluation are one n_gen x n_gen product with the subtransient EMFs, and the
-full bus voltages one n_bus x n_gen product, formed only at record and
-measurement instants. The machine right-hand side is one affine map of the
-state and the stator currents. Control blocks advance once per step, before
-the RK4 stages, with their inputs frozen over the step: one precomputed
-control kernel per step size (`controls.ControlKernel`) advances the
-governors, PSSs, exciters and AGC together, from the rotor speeds and the
-generator-bus voltages that the first RK4 stage also uses. Every scenario
-time is resolved to a whole number of `dt` steps, or refused, before a run
-starts; the event engine then applies, by step index, line trips, recloses
-(a guarded one waits until the breaker angle is under its guard),
-controller activation and direct set-point overrides. The controller's model
-topology and its islanded buses are settled with each plant topology; a
-controller sample passes its measured bus loads to the model power flow.
+reduced once, when it is built, to two n_gen x n_gen matrices on the
+subtransient EMFs e in the grid frame: Z, the generator-bus voltages Z e,
+and the stator admittance Y = diag(y_int)(I - Z), the stator currents Y e.
+The full bus voltages, one n_bus x n_gen product, are formed only at record
+and measurement instants. An RK4 stage is a short fixed sequence of numpy
+calls on buffers allocated once: one `cos` for the rotor rotations, one
+product with [Y; Z] in real form, and one product of the stage vector with
+`machines.affine_rhs`'s matrix, whose current and torque columns take the dq
+currents and the air-gap power as pairs of products. Control blocks advance
+once per step, before the RK4 stages, with their inputs frozen over the
+step: one precomputed control kernel per step size
+(`controls.ControlKernel`) advances the governors, PSSs, exciters and AGC
+together, from the rotor speeds and the generator-bus voltages of the first
+stage. Every scenario time is resolved to a whole number of `dt` steps, or
+refused, before a run starts; the event engine then applies, by step index,
+line trips, recloses (a guarded one waits until the breaker angle is under
+its guard), controller activation and direct set-point overrides. The
+controller's model topology and its islanded buses are settled with each
+plant topology; a controller sample passes its measured bus loads to the
+model power flow.
 """
 
 from __future__ import annotations
@@ -68,6 +73,39 @@ SET_INPUT = "set_input"
 _BLOWUP_LIMIT = 1e6
 # largest accepted relative residual of a topology's reduced network solve
 _SOLVE_RTOL = 1e-8
+# cos(delta + offset) of a stage: [sin, cos] and [cos, -sin] of delta per
+# machine; the second pair, read as a complex number, is exp(-j delta)
+_TRIG_OFFSETS = np.array([[[-np.pi / 2, 0.0]], [[0.0, np.pi / 2]]])
+_RK4 = np.array([1.0, 2.0, 2.0, 1.0])
+
+
+def _real_form(C: np.ndarray) -> np.ndarray:
+    """The real matrix that acts like the complex matrix C on the interleaved
+    float view of a complex vector."""
+    m, k = C.shape
+    R = np.empty((m, 2, k, 2))
+    R[:, 0, :, 0] = R[:, 1, :, 1] = C.real
+    R[:, 0, :, 1] = -C.imag
+    R[:, 1, :, 0] = C.imag
+    return R.reshape(2 * m, 2 * k)
+
+
+def _stage_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`machines.affine_rhs`'s (A, c) as one matrix on the stage vector.
+
+    The stage vector is [x.ravel(), P, p_m / omega, E_f, 1], where P holds
+    for i_d, then i_q, then p_e, one pair of products per machine whose sum
+    is that quantity; so each column of i_d, i_q and -p_e appears twice.
+    """
+    n6 = A.shape[0]
+    n = n6 // mc.N_STATES
+
+    def block(b):
+        return A[:, n6 + b * n:n6 + (b + 1) * n]
+
+    pairs = np.hstack((block(mc.I_D), block(mc.I_Q), -block(mc.TORQUE)))
+    return np.hstack((A[:, :n6], np.repeat(pairs, 2, axis=1),
+                      block(mc.TORQUE), block(mc.E_F), c[:, None]))
 
 
 def _steps(seconds: float, dt: float, what: str) -> int:
@@ -152,7 +190,7 @@ class DynamicSimulation:
         self._v0_mag = np.abs(V0)
         self.y_load = np.conj(self._load) / self._v0_mag ** 2
         self.y_int = 1.0 / (self.mach.R + 1j * self.mach.X_d_pp)
-        self._rhs_A, self._rhs_c = mc.affine_rhs(self.mach, self.omega_base)
+        self._A = _stage_matrix(*mc.affine_rhs(self.mach, self.omega_base))
         self._freq_w = inertia_weights(self.mach.H, self.mach.S)
 
         s_inj = sol0.p_inj + 1j * sol0.q_inj
@@ -172,7 +210,40 @@ class DynamicSimulation:
 
         self._sens_warm = sol0
         self.event_log: list[tuple[float, str]] = []
+        self._alloc_stage_buffers(self.mach.n)
         self._rebuild_network(net)
+
+    def _alloc_stage_buffers(self, n: int):
+        """The RK4 stage buffers and their views, allocated once.
+
+        `_z` is the stage vector of `_stage_matrix`: the stage state, the pair
+        products, p_m / omega, E_f and 1. `_trig` holds [sin, cos] and
+        [cos, -sin] of each rotor angle, then the conjugate grid-frame EMF
+        conj(e) as pairs; `_gv` holds conj(Y e) and conj(Z e) as pairs.
+        """
+        n6 = mc.N_STATES * n
+        z = self._z = np.zeros(n6 + 8 * n + 1)
+        z[-1] = 1.0
+        self._zx = z[:n6]
+        self._zx2 = self._zx.reshape(n, mc.N_STATES)
+        self._z_domega = z[mc.OMEGA:n6:mc.N_STATES]
+        self._z_delta = z[mc.DELTA:n6:mc.N_STATES][:, None]
+        # E_q'' + j E_d'' per machine, in place in the stage state (the
+        # state layout puts E_d'' right after E_q'')
+        self._z_emf = self._zx2[:, mc.EQ_PP:mc.ED_PP + 1].view(complex)
+        self._z_prod = z[n6:n6 + 6 * n].reshape(3, n, 2)
+        self._z_torque = z[n6 + 6 * n:n6 + 7 * n]
+        self._z_ef = z[n6 + 7 * n:n6 + 8 * n]
+        self._omega = np.empty(n)
+        trig = self._trig = np.empty((3, n, 2))
+        self._cos = trig[:2]
+        self._rot = trig[1].view(complex)
+        self._emf_rot = trig[2].view(complex)
+        self._emf_flat = trig[2].reshape(-1)
+        self._gv = np.empty(4 * n)
+        self._g_pairs = self._gv[:2 * n].reshape(n, 2)
+        self._vg = self._gv[2 * n:].view(complex)
+        self._K = np.empty((4, n6))
 
     # -- topology ------------------------------------------------------------
 
@@ -204,7 +275,11 @@ class DynamicSimulation:
                 "or not finite")
         self._net_now = net_now
         self._W = W
-        self._Z = W[self.gen_idx]
+        Z = W[self.gen_idx]
+        # stator currents y_int (e - Z e) and generator-bus voltages Z e, as
+        # conj(Y_st e) and conj(Z e) from conj(e)
+        Y_st = self.y_int[:, None] * (np.eye(len(Z)) - Z)
+        self._YZ = _real_form(np.conj(np.vstack((Y_st, Z))))
         topo = self.sensitivity_topology
         self._model_net = net_now if topo is None else net_now.with_line_out(topo)
         # with no erased line the model is the plant, connected (checked above)
@@ -223,28 +298,35 @@ class DynamicSimulation:
     def bus_voltages(self) -> np.ndarray:
         return self._W @ mc.internal_emf(self.x)
 
-    def _frame(self, x: np.ndarray):
-        """Rotor-to-grid rotation, dq subtransient EMFs and generator-bus
-        voltages (from the reduced network) of state x."""
-        rot = np.exp(1j * (x[:, mc.DELTA] - np.pi / 2))
-        e_dq = x[:, mc.ED_PP] + 1j * x[:, mc.EQ_PP]
-        return rot, e_dq, self._Z @ (e_dq * rot)
+    def _currents(self):
+        """Stator currents of the stage state, as the pair products of `_z`,
+        and the generator-bus voltages, in `_vg` (conjugated)."""
+        cos = self._cos
+        np.add(self._z_delta, _TRIG_OFFSETS, out=cos)
+        np.cos(cos, out=cos)
+        # conj(e) = (E_q'' + j E_d'') exp(-j delta)
+        np.multiply(self._z_emf, self._rot, out=self._emf_rot)
+        np.dot(self._YZ, self._emf_flat, out=self._gv)
+        # with g = conj(Y e): i_d = g_r sin + g_i cos, i_q = g_r cos - g_i sin
+        # and p_e = Re(conj(e) conj(g)), each the sum of a pair of products
+        np.multiply(self._trig, self._g_pairs, out=self._z_prod)
 
-    def _derivs(self, x: np.ndarray, frame=None):
-        """machine_derivatives of the fleet at state x, fused.
-
-        `frame` is `_frame(x)`, when the caller has it already.
-        """
-        omega = 1.0 + x[:, mc.OMEGA]
+    def _rhs(self, out: np.ndarray):
+        """Machine right-hand side of the stage state, into `out`; the
+        currents are `_currents`' and E_f is in `_z` already."""
+        omega = np.add(self._z_domega, 1.0, out=self._omega)
         if not omega.min() > 0:  # also trips on NaN
             raise SimulationBlowupError("rotor speed reached zero or is not finite")
-        rot, e_dq, vg = self._frame(x) if frame is None else frame
-        # stator currents I_d + j I_q = (E''_dq - v_dq) / (R + j X_d'')
-        i_dq = self.y_int * (e_dq - vg * rot.conj())
-        p_e = (e_dq.conj() * i_dq).real  # E_d'' I_d + E_q'' I_q
-        z = np.concatenate((x.ravel(), i_dq.real, i_dq.imag,
-                            self.p_m / omega - p_e, self.E_f))
-        return (self._rhs_A @ z + self._rhs_c).reshape(x.shape)
+        np.divide(self.p_m, omega, out=self._z_torque)
+        np.dot(self._A, self._z, out=out)
+
+    def _derivs(self, x: np.ndarray) -> np.ndarray:
+        """machine_derivatives of the fleet at state x, by the stage code."""
+        np.copyto(self._zx2, x)
+        self._z_ef[:] = self.E_f
+        self._currents()
+        self._rhs(self._K[0])
+        return self._K[0].reshape(x.shape).copy()
 
     # -- time stepping -------------------------------------------------------
 
@@ -256,20 +338,24 @@ class DynamicSimulation:
             kernel = self._kernel = ControlKernel(
                 g.governors, g.pss, g.exciters, g.agc, self._freq_w,
                 self.p_m0, self.E_f0, dt)
-        x = self.x
-        frame = self._frame(x)
-        delta_v = self.ofo_state.v_ofo - np.abs(frame[2])
+        x, zx, K = self.x, self._zx, self._K
+        np.copyto(self._zx2, x)
+        self._currents()
+        delta_v = self.ofo_state.v_ofo - np.abs(self._vg)
         self._ctrl, p_ctrl, self.E_f = kernel.step(self._ctrl, x[:, mc.OMEGA], delta_v)
         self.p_m = p_ctrl + self.ofo_state.p_ofo
-
-        half = 0.5 * dt
-        k1 = self._derivs(x, frame=frame)
-        k2 = self._derivs(x + half * k1)
-        k3 = self._derivs(x + half * k2)
-        k4 = self._derivs(x + dt * k3)
-        self.x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.abs(self.x).max() <= _BLOWUP_LIMIT:  # also trips on NaN
+        self._z_ef[:] = self.E_f
+        self._rhs(K[0])
+        x_flat = x.reshape(-1)
+        for i, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
+            np.multiply(K[i], h, out=zx)
+            np.add(zx, x_flat, out=zx)
+            self._currents()
+            self._rhs(K[i + 1])
+        x_new = x + (dt / 6.0) * np.dot(_RK4, K).reshape(x.shape)
+        if not np.abs(x_new).max() <= _BLOWUP_LIMIT:  # also trips on NaN
             raise SimulationBlowupError("dynamic state exceeded blowup limit")
+        self.x = x_new
 
     def measurement(self, t: float) -> Measurement:
         return extract_measurement(self._net_now, self.bus_voltages(), t)
@@ -370,7 +456,10 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
 
     for k in range(n_steps + 1):
         t = k * dt
-        for ev in schedule.get(k, []) + blocked:
+        pending = schedule.get(k, ())
+        if blocked:  # a copy, as a reclose that goes through leaves `blocked`
+            pending = [*pending, *blocked]
+        for ev in pending:
             if ev.kind == LINE_TRIP:
                 changed = sim.set_line_status(ev.line_id, False)
                 sim.event_log.append(

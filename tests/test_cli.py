@@ -52,6 +52,16 @@ BAD_SCENARIOS = {
 }
 
 
+# scenario edits that `simulate` runs but `robustness` must refuse; dt = 0.01
+# and record_every = 0.1 in short_scenario
+BAD_ACTIVATIONS = {
+    "no_activation": lambda doc: doc["events"].pop(1),
+    "activation_at_zero": lambda doc: doc["events"][1].update(time=0.0),
+    "activation_after_last_row": lambda doc: (
+        doc["sim"].update(t_end=12.05), doc["events"][1].update(time=12.05)),
+}
+
+
 def _set_machine(i, name):
     return lambda doc: doc["generators"][i].update(machine=name)
 
@@ -71,11 +81,11 @@ BAD_GRIDS = {
 }
 
 
-def bad_scenario(tmp_path, case):
+def bad_scenario(tmp_path, case, edits=BAD_SCENARIOS):
     path = short_scenario(tmp_path)
     with open(path) as fh:
         doc = json.load(fh)
-    BAD_SCENARIOS[case](doc)
+    edits[case](doc)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path
@@ -266,3 +276,14 @@ class TestRobustness:
         assert code == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_ACTIVATIONS))
+    def test_activation_needs_rows_around_it(self, tmp_path, capsys, case):
+        """The gap gates need a recorded row before the activation and one at
+        or after it: refused before any member runs, not a traceback."""
+        path = bad_scenario(tmp_path, case, BAD_ACTIVATIONS)
+        out = tmp_path / "o"
+        code = main(["robustness", "--scenario", path, "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "activate_ofo" in capsys.readouterr().err
+        assert not out.exists()

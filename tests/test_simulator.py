@@ -1,5 +1,7 @@
 """Closed-loop time stepping: equilibrium hold, integrator order, events."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_solve
@@ -150,7 +152,8 @@ class TestKronReduction:
 class TestControlKernel:
     def test_matches_reference_stepping(self, grid):
         """DynamicSimulation against a step written here with the four
-        reference blocks and the unfused stage-1 voltages, at 1e-10 relative
+        reference blocks, and with machine_derivatives on the dense 39-bus
+        network solve for the voltages and every RK4 stage, at 1e-10 relative
         to each quantity's largest entry (or 1), over a trip, two controller
         samples and the reclose of the bundled scenario's line."""
         scen = load_scenario(bundled_path("scenario_reclose.json"))
@@ -163,6 +166,10 @@ class TestControlKernel:
         agc = AgcState()
         u0 = sim.ofo_state.u.copy()
         dt = 5e-3
+
+        def derivs(x):
+            return full_network(ref, x)[1]
+
         for k in range(1000):
             t = k * dt
             for s in (sim, ref):
@@ -176,15 +183,16 @@ class TestControlKernel:
             dw = x[:, mc.OMEGA]
             gov, p_gov = governor_step(grid.governors, gov, dw, ref.p_m0, dt)
             pss, v_pss = pss_step(grid.pss, pss, dw, dt)
-            delta_v = ref.ofo_state.v_ofo - np.abs(ref._Z @ mc.internal_emf(x))
+            V, _ = full_network(ref, x)
+            delta_v = ref.ofo_state.v_ofo - np.abs(V[ref.gen_idx])
             exc, ref.E_f = exciter_step(grid.exciters, exc, delta_v, v_pss,
                                         ref.E_f0, dt)
             agc, p_agc = agc_step(grid.agc, agc, average_frequency(dw, weights), dt)
             ref.p_m = p_gov + ref.ofo_state.p_ofo + p_agc
-            k1 = ref._derivs(x)
-            k2 = ref._derivs(x + 0.5 * dt * k1)
-            k3 = ref._derivs(x + 0.5 * dt * k2)
-            k4 = ref._derivs(x + dt * k3)
+            k1 = derivs(x)
+            k2 = derivs(x + 0.5 * dt * k1)
+            k3 = derivs(x + 0.5 * dt * k2)
+            k4 = derivs(x + dt * k3)
             ref.x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             sim.step(dt)
         assert np.any(sim.ofo_state.u != u0)  # the controller moved u
@@ -267,6 +275,54 @@ class TestIntegratorOrder:
         sim.x[0, mc.EQ_P] = np.nan
         with pytest.raises(SimulationBlowupError):
             sim.step(5e-3)
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("p_ofo", [-200.0, -20.0])
+    def test_rotor_speed_checked_in_every_stage(self, grid, p_ofo):
+        """Rotor speeds above zero at the start of the step, which a large
+        negative power set-point drives through zero inside it (in stage 2
+        at -200 pu, in stage 4 at -20 pu), raise and leave the state as it
+        was."""
+        sim = DynamicSimulation(grid)
+        n = sim.mach.n
+        sim.x[:, mc.OMEGA] = -0.95
+        sim.ofo_state = replace(sim.ofo_state, u=np.concatenate(
+            [np.full(n, p_ofo), sim.ofo_state.v_ofo]))
+        x0 = sim.x.copy()
+        with pytest.raises(SimulationBlowupError, match="rotor speed"):
+            sim.step(5e-3)
+        np.testing.assert_array_equal(sim.x, x0)
+
+    def test_step_leaves_earlier_arrays_alone(self, grid):
+        """The state, p_m and E_f of one step are new arrays, not views of
+        buffers that the next step writes."""
+        sim = DynamicSimulation(grid)
+        sim.set_line_status("23-24", False)
+        sim.step(5e-3)
+        taken = (sim.x, sim.p_m, sim.E_f)
+        copies = [a.copy() for a in taken]
+        sim.step(5e-3)
+        for a, c, now in zip(taken, copies, (sim.x, sim.p_m, sim.E_f)):
+            np.testing.assert_array_equal(a, c)
+            assert not np.array_equal(now, c)
+
+    def test_trajectory_rows_are_snapshots(self, grid):
+        """Every recorded row equals the state at its own instant, stepped
+        here by hand, not the state at a later one."""
+        dt = 5e-3
+        traj = run_scenario(
+            grid, [Event(time=4 * dt, kind="line_trip", line_id="23-24")], None,
+            SimConfig(t_end=20 * dt, dt=dt, record_every=dt))
+        sim = DynamicSimulation(grid)
+        for k in range(21):
+            if k == 4:
+                sim.set_line_status("23-24", False)
+            np.testing.assert_array_equal(traj.p_m[k], sim.p_m)
+            np.testing.assert_array_equal(traj.v[k], sim.measurement(k * dt).v)
+            if k < 20:
+                sim.step(dt)
+        assert len({row.tobytes() for row in traj.p_m}) > 2
 
 
 class TestEvents:
