@@ -7,15 +7,17 @@ Subcommands:
     robustness  rerun the scenario once per erased-line sensitivity; write
                 sweep.csv, sweep_gaps.csv and an overlay SVG
 
-Exit codes: 0 success, 1 input error, 2 numerical failure. All configuration
-is explicit through flags and files; no environment variables are read.
+The numbers, the sweep's plan and statistics included, come from
+`simulator`; this module parses arguments, runs the sweep's members in a
+process pool, and writes the artifacts. Exit codes: 0 success, 1 input
+error, 2 numerical failure. All configuration is explicit through flags and
+files; no environment variables are read.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -27,7 +29,7 @@ from .errors import GridDataError, GridOfoError
 from .network import solve_power_flow
 from .ofo import default_config
 from .plotting import gap_chart, power_chart, setpoint_chart, sweep_chart
-from .simulator import ACTIVATE_OFO, LINE_TRIP, check_events, run_scenario
+from .simulator import gap_statistics, run_scenario, sweep_plan
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -57,28 +59,6 @@ def _write_trajectory_csv(path, traj, n_gen: int):
         w.writerows([_num(x) for x in row] for row in rows)
 
 
-def _write_events_log(path, events):
-    with open(path, "w") as fh:
-        for t, msg in events:
-            fh.write(f"{t:10.3f}  {msg}\n")
-
-
-def _read_trajectory_csv(path):
-    """Load the columns the charts need; plots derive from the CSV alone."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    data = np.array(body, dtype=float)
-    cols = {name: i for i, name in enumerate(header)}
-
-    def block(prefix):
-        idx = [cols[n] for n in header if n.startswith(prefix)]
-        return data[:, idx]
-
-    return dict(t=data[:, cols["t"]], vgap=data[:, cols["vgap"]],
-                p_ofo=block("pOFO_"), v_ofo=block("vOFO_"), p_m=block("pm_"))
-
-
 def cmd_powerflow(args) -> int:
     grid = load_grid(args.grid)
     net = grid.net
@@ -102,14 +82,13 @@ def cmd_simulate(args) -> int:
     traj = run_scenario(grid, scen.events, ofo_cfg, scen.sim,
                         sensitivity_topology=args.sensitivity_topology)
     _write_trajectory_csv(out / "trajectory.csv", traj, grid.net.n_gen)
-    _write_events_log(out / "events.log", traj.events)
+    with open(out / "events.log", "w") as fh:
+        fh.writelines(f"{t:10.3f}  {msg}\n" for t, msg in traj.events)
 
-    cols = _read_trajectory_csv(out / "trajectory.csv")
     names = [f"G{g.bus}" for g in grid.net.generators]
-    gap_chart(cols["t"], cols["vgap"], traj.events).write(out / "gap.svg")
-    setpoint_chart(cols["t"], cols["v_ofo"], names,
-                   traj.events).write(out / "setpoints.svg")
-    power_chart(cols["t"], cols["p_ofo"], cols["p_m"], names,
+    gap_chart(traj.t, traj.vgap, traj.events).write(out / "gap.svg")
+    setpoint_chart(traj.t, traj.v_ofo, names, traj.events).write(out / "setpoints.svg")
+    power_chart(traj.t, traj.p_ofo, traj.p_m, names,
                 traj.events).write(out / "power.svg")
     print(f"wrote trajectory.csv, events.log and 3 charts to {out}")
     return EXIT_OK
@@ -133,62 +112,24 @@ def _sweep_worker(task):
 def cmd_robustness(args) -> int:
     grid = load_grid(args.grid)
     scen = load_scenario(args.scenario)
-    period = default_config(grid.net, **scen.ofo).sampling_period
     # reject bad input here: a worker would report it as a failed member
-    schedule, sample_steps = check_events(grid.net, scen.events, scen.sim, period)
-    # the gap gates compare the rows before and after the activation row
-    k_on = next((k for k, evs in schedule.items()
-                 if any(ev.kind == ACTIVATE_OFO for ev in evs)), None)
-    if k_on is None:
-        raise GridDataError(f"robustness: the scenario needs an {ACTIVATE_OFO} event")
-    # rows by step index: the first recorded row at or after a step
-    rec_stride = round(scen.sim.record_every / scen.sim.dt)
-    i_on = math.ceil(k_on / rec_stride)
-    n_rows = round(scen.sim.t_end / scen.sim.dt) // rec_stride + 1
-    if not 0 < i_on < n_rows:
-        raise GridDataError(
-            f"robustness: {ACTIVATE_OFO} needs a recorded row before it and one "
-            f"at or after it (t={k_on * scen.sim.dt:g})")
+    plan = sweep_plan(grid, scen.events, default_config(grid.net, **scen.ofo),
+                      scen.sim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    tripped = {ev.line_id for ev in scen.events if ev.kind == LINE_TRIP}
-    # the controller model starts from the post-contingency topology, so the
-    # islanding precheck must apply the scripted trips before the erasure
-    post_net = grid.net
-    for lid in tripped:
-        post_net = post_net.with_line_out(lid)
-    members = [None]  # None is the nominal run, with the plant's topology
-    skipped = []
-    for ln in grid.net.lines:
-        if ln.id in tripped or not ln.in_service:
-            continue
-        if post_net.with_line_out(ln.id).islanded_buses():
-            skipped.append((ln.id, "removal islands the post-contingency grid"))
-            continue
-        members.append(ln.id)
-
     with ProcessPoolExecutor() as pool:
-        results = dict(zip(members, pool.map(
-            _sweep_worker, [(args.grid, args.scenario, m) for m in members])))
+        results = dict(zip(plan.members, pool.map(
+            _sweep_worker, [(args.grid, args.scenario, m) for m in plan.members])))
 
     failure, t, nominal = results.pop(None)
     if failure is not None:
         print(f"nominal run failed: {failure}", file=sys.stderr)
         return EXIT_NUMERICAL
-    peak = float(nominal[:i_on].max())
 
     def stats(vgap):
-        g_on = vgap[i_on]
-        post = vgap[i_on:]
-        halve = ""
-        for k in range(1, (rec_stride * (t.size - 1) - k_on) // sample_steps + 1):
-            if vgap[math.ceil((k_on + k * sample_steps) / rec_stride)] <= 0.5 * g_on:
-                halve = str(k)
-                break
-        stable = post.max() <= 3.0 * peak and vgap[-1] < peak
-        return [_num(post.max()), _num(vgap[-1]), halve,
-                "stable" if stable else "unstable"]
+        max_gap, final_gap, halve, stable = gap_statistics(plan, nominal, vgap)
+        return [_num(max_gap), _num(final_gap), halve, "stable" if stable else "unstable"]
 
     gap_by_line = {}  # in line id order, as the rows
     rows = [["nominal", "ok", "", *stats(nominal)]]
@@ -199,7 +140,7 @@ def cmd_robustness(args) -> int:
             continue
         rows.append([line_id, "ok", "", *stats(vgap)])
         gap_by_line[line_id] = vgap
-    for line_id, reason in sorted(skipped):
+    for line_id, reason in sorted(plan.skipped):
         rows.append([line_id, "skipped", reason, "", "", "", ""])
 
     with open(out / "sweep.csv", "w", newline="") as fh:
@@ -211,14 +152,13 @@ def cmd_robustness(args) -> int:
     with open(out / "sweep_gaps.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "nominal"] + [f"gap_{i}" for i in gap_by_line])
-        for k in range(t.size):
-            w.writerow([_num(t[k]), _num(nominal[k])]
-                       + [_num(g[k]) for g in gap_by_line.values()])
+        gaps = np.column_stack((t, nominal, *gap_by_line.values()))
+        w.writerows([_num(x) for x in row] for row in gaps)
 
     sweep_chart(t, gap_by_line, nominal).write(out / "sweep.svg")
     n_ok = len(gap_by_line)
     n_unstable = sum(1 for r in rows if r[6] == "unstable")
-    print(f"sweep: {n_ok} perturbed runs, {len(skipped)} skipped, "
+    print(f"sweep: {n_ok} perturbed runs, {len(plan.skipped)} skipped, "
           f"{n_unstable} unstable; wrote sweep.csv, sweep_gaps.csv, sweep.svg")
     return EXIT_OK
 

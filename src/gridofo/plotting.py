@@ -209,7 +209,6 @@ def setpoint_chart(t, v_ofo, gen_names, events=()) -> LineChart:
     """Controller voltage set-points per generator."""
     chart = LineChart(title="Voltage set-points", x_label="time (s)",
                       y_label="v_OFO (p.u.)")
-    v_ofo = np.asarray(v_ofo)
     for j, name in enumerate(gen_names):
         chart.add_series(t, v_ofo[:, j], label=name)
     _event_markers(chart, events)
@@ -220,8 +219,6 @@ def power_chart(t, p_ofo, p_m, gen_names, events=()) -> LineChart:
     """Controller power set-points (solid palette) and mechanical power."""
     chart = LineChart(title="Active power: controller set-point and mechanical",
                       x_label="time (s)", y_label="power (p.u.)")
-    p_ofo = np.asarray(p_ofo)
-    p_m = np.asarray(p_m)
     for j, name in enumerate(gen_names):
         chart.add_series(t, p_ofo[:, j], label=f"p_OFO {name}")
     for j in range(p_m.shape[1]):

@@ -16,10 +16,10 @@ once per step, before the RK4 stages, with their inputs frozen over the
 step: one precomputed control kernel per step size
 (`controls.ControlKernel`) advances the governors, PSSs, exciters and AGC
 together, from the rotor speeds and the generator-bus voltages of the first
-stage. Every scenario time is resolved to a whole number of `dt` steps, or
-refused, before a run starts; the event engine then applies, by step index,
-line trips, recloses (a guarded one waits until the breaker angle is under
-its guard), controller activation and direct set-point overrides. The
+stage. Every scenario time and controller sample is resolved to a step of
+`dt`, or refused, before a run starts; the event engine then applies, by step
+index, line trips, recloses (a guarded one waits until the breaker angle is
+under its guard), controller activation and direct set-point overrides. The
 controller's model topology and its islanded buses are settled with each
 plant topology; a controller sample passes its measured bus loads to the
 model power flow.
@@ -402,13 +402,14 @@ class DynamicSimulation:
 
 
 def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
-                 sampling_period: float) -> tuple[dict[int, list[Event]], int]:
+                 sampling_period: float) -> tuple[dict[int, list[Event]], set[int]]:
     """Resolve a scenario's times to steps of the time grid.
 
     Returns the events by the step at which they apply, in time order, and
-    the sampling period in steps. Unknown lines, malformed inputs, times
-    between steps or after the last step, and a sampling period under one
-    step are refused, instead of being moved or dropped.
+    the controller's sample steps: every period from each activation until
+    the next. Unknown lines, malformed inputs, times between steps or after
+    the last step, and a sampling period under one step are refused, not
+    moved or dropped.
     """
     n_u = 2 * net.n_gen
     dt = sim_cfg.dt
@@ -417,6 +418,7 @@ def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
         raise GridDataError(f"ofo: sampling_period below dt={dt:g}")
     last_step = round(sim_cfg.t_end / dt)
     schedule: dict[int, list[Event]] = {}
+    on: list[int] = []  # activation steps, in order
     for ev in sorted(events, key=lambda e: e.time):
         k = _steps(ev.time, dt, "event time")
         if k > last_step:
@@ -424,6 +426,8 @@ def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
                 f"event at t={ev.time:g}: after t_end={sim_cfg.t_end:g}")
         if ev.kind in (LINE_TRIP, LINE_RECLOSE):
             net.line_index(ev.line_id)
+        elif ev.kind == ACTIVATE_OFO:
+            on.append(k)
         elif ev.kind == SET_INPUT:
             try:
                 u = np.asarray(ev.u, dtype=float)
@@ -433,7 +437,10 @@ def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
                 raise GridDataError(
                     f"event at t={ev.time:g}: set_input u needs {n_u} finite entries")
         schedule.setdefault(k, []).append(ev)
-    return schedule, sample_steps
+    samples: set[int] = set()
+    for start, stop in zip(on, [*on[1:], last_step + 1]):
+        samples.update(range(start, stop, sample_steps))
+    return schedule, samples
 
 
 def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[OfoConfig],
@@ -442,14 +449,13 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
     """Run one closed-loop scenario and record the trajectory."""
     if ofo_cfg is None:
         ofo_cfg = default_config(grid.net)
-    schedule, samp_stride = check_events(grid.net, events, sim_cfg,
-                                         ofo_cfg.sampling_period)
+    schedule, samples = check_events(grid.net, events, sim_cfg,
+                                     ofo_cfg.sampling_period)
     sim = DynamicSimulation(grid, ofo_cfg, sensitivity_topology)
     dt = sim_cfg.dt
     n_steps = round(sim_cfg.t_end / dt)
     rec_stride = round(sim_cfg.record_every / dt)
     blocked: list[Event] = []  # guarded recloses waiting for the angle
-    activate_step = 0
 
     rec: dict[str, list] = {k: [] for k in (
         "t", "vgap", "v", "dtheta", "flows", "p_ofo", "v_ofo", "p_m")}
@@ -480,14 +486,13 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
                 if sim.set_line_status(ev.line_id, True):
                     sim.event_log.append((t, f"line {ev.line_id} reclosed"))
             elif ev.kind == ACTIVATE_OFO:
-                activate_step = k
                 sim.ofo_state = replace(sim.ofo_state, active=True)
                 sim.event_log.append((t, "OFO controller activated"))
             else:  # SET_INPUT
                 sim.ofo_state = replace(sim.ofo_state, u=ev.u)
                 sim.event_log.append((t, "set-point override applied"))
 
-        if sim.ofo_state.active and (k - activate_step) % samp_stride == 0:
+        if k in samples:
             sim.controller_update(t)
 
         if k % rec_stride == 0:
@@ -506,3 +511,60 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
 
     return Trajectory(**{key: np.array(rows) for key, rows in rec.items()},
                       events=list(sim.event_log))
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """An erased-line sweep's members and the recorded rows its statistics read."""
+    members: list  # None, the nominal run on the plant's topology, then line ids
+    skipped: list[tuple[str, str]]  # (line id, reason), in line order
+    rows: list[int]  # the first recorded row at or after each controller sample
+
+
+def sweep_plan(grid: "GridData", events: Sequence[Event], ofo_cfg: OfoConfig,
+               sim_cfg: SimConfig) -> SweepPlan:
+    """Plan a scenario's sweep: one member per in-service line not tripped
+    whose erasure from the controller model leaves the post-contingency grid
+    whole. Refuses input errors, and a first activation without a recorded
+    row before it and one at or after it, before any member runs."""
+    _, samples = check_events(grid.net, events, sim_cfg, ofo_cfg.sampling_period)
+    if not samples:
+        raise GridDataError(f"robustness: the scenario needs an {ACTIVATE_OFO} event")
+    stride = round(sim_cfg.record_every / sim_cfg.dt)
+    last_row = round(sim_cfg.t_end / sim_cfg.dt) // stride
+    rows = [-(-k // stride) for k in sorted(samples)]
+    if not 0 < rows[0] <= last_row:
+        raise GridDataError(
+            f"robustness: {ACTIVATE_OFO} needs a recorded row before it and one "
+            f"at or after it (t={min(samples) * sim_cfg.dt:g})")
+
+    tripped = {ev.line_id for ev in events if ev.kind == LINE_TRIP}
+    # the controller model starts from the post-contingency topology, so the
+    # islanding precheck must apply the scripted trips before the erasure
+    post_net = grid.net
+    for lid in tripped:
+        post_net = post_net.with_line_out(lid)
+    members, skipped = [None], []
+    for ln in grid.net.lines:
+        if ln.id in tripped or not ln.in_service:
+            continue
+        if post_net.with_line_out(ln.id).islanded_buses():
+            skipped.append((ln.id, "removal islands the post-contingency grid"))
+        else:
+            members.append(ln.id)
+    return SweepPlan(members, skipped, [r for r in rows if r <= last_row])
+
+
+def gap_statistics(plan: SweepPlan, nominal: np.ndarray,
+                   vgap: np.ndarray) -> tuple[float, float, Optional[int], bool]:
+    """A member's largest gap from the first activation on, its final gap,
+    the first sample after the activation (counted from 1) whose row holds
+    at most half the gap at activation, or None, and whether it is stable:
+    its largest gap within 3 times, and its final gap under, the nominal
+    run's peak before the activation."""
+    on, *later = plan.rows
+    peak = nominal[:on].max()
+    top = vgap[on:].max()
+    halve = next((i for i, row in enumerate(later, 1) if vgap[row] <= 0.5 * vgap[on]),
+                 None)
+    return top, vgap[-1], halve, bool(top <= 3.0 * peak and vgap[-1] < peak)

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from gridofo.cli import EXIT_INPUT, EXIT_OK, main
-from gridofo.dataio import bundled_path
+from gridofo.dataio import bundled_path, load_scenario
+from gridofo.ofo import default_config
+from gridofo.simulator import gap_statistics, sweep_plan
 
 NAN = float("nan")
 
@@ -243,21 +245,42 @@ class TestRobustness:
         assert (out / "sweep.svg").exists()
         ET.parse(out / "sweep.svg")
 
-    def test_halving_sample_found_by_step(self, tmp_path, monkeypatch):
+    def test_halving_sample_found_by_step(self, tmp_path, grid):
         """OFO from 0.2 s sampled every 0.2 s: sample 2 is the 0.6 s row,
-        though 0.2 + 2 * 0.2 is one ulp above the recorded 0.6."""
+        though 0.2 + 2 * 0.2 is one ulp above the recorded 0.6. Sampled
+        every 0.15 s, sample 3 (0.65 s) reads the next row, 0.7 s."""
+        for period, row, sample in ((0.2, 6, 2), (0.15, 7, 3)):
+            doc = {"events": [{"time": 0.1, "kind": "line_trip", "line_id": "23-24"},
+                              {"time": 0.2, "kind": "activate_ofo"}],
+                   "sim": {"dt": 0.01, "t_end": 1.0, "record_every": 0.1},
+                   "ofo": {"alpha": 3.0, "sampling_period": period}}
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(doc))
+            scen = load_scenario(path)
+            plan = sweep_plan(grid, scen.events,
+                              default_config(grid.net, **scen.ofo), scen.sim)
+            vgap = np.ones(11)  # the rows of 0, 0.1, ..., 1 s
+            vgap[row] = 0.4  # that row only
+            assert gap_statistics(plan, vgap, vgap)[2] == sample
+
+    def test_halving_counts_samples_from_each_activation(self, tmp_path,
+                                                          monkeypatch):
+        """A second activation at 1.3 s restarts the sampling: samples 1 and
+        2 read the 1.3 s and 1.8 s rows, not the 1.5 s and 2.0 s rows of a
+        count from the first activation alone."""
         def stub(grid, events, ofo_cfg, sim_cfg, sensitivity_topology=None):
-            t = np.arange(0, 101, 10) * 0.01  # recorded steps times dt
+            t = np.arange(0, 301, 10) * 0.01  # recorded steps times dt
             vgap = np.ones(t.size)
-            vgap[6] = 0.4  # the 0.6 s row only
+            vgap[[15, 18]] = 0.4  # the 1.5 s and 1.8 s rows
             return SimpleNamespace(t=t, vgap=vgap)
 
         # forked pool workers inherit the patch
         monkeypatch.setattr("gridofo.cli.run_scenario", stub)
-        doc = {"events": [{"time": 0.1, "kind": "line_trip", "line_id": "23-24"},
-                          {"time": 0.2, "kind": "activate_ofo"}],
-               "sim": {"dt": 0.01, "t_end": 1.0, "record_every": 0.1},
-               "ofo": {"alpha": 3.0, "sampling_period": 0.2}}
+        doc = {"events": [{"time": 0.3, "kind": "line_trip", "line_id": "23-24"},
+                          {"time": 1.0, "kind": "activate_ofo"},
+                          {"time": 1.3, "kind": "activate_ofo"}],
+               "sim": {"dt": 0.01, "t_end": 3.0, "record_every": 0.1},
+               "ofo": {"alpha": 3.0, "sampling_period": 0.5}}
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(doc))
         out = tmp_path / "sweep"

@@ -28,7 +28,7 @@ from gridofo.errors import (
     SimulationBlowupError,
 )
 from gridofo.network import NetworkModel, build_ybus
-from gridofo.ofo import ofo_update
+from gridofo.ofo import default_config, ofo_update
 from gridofo.qp import MAX_ITER, QpSolution
 from gridofo.sensitivity import compute_sensitivity
 from gridofo.simulator import (
@@ -36,7 +36,9 @@ from gridofo.simulator import (
     Event,
     SimConfig,
     check_events,
+    gap_statistics,
     run_scenario,
+    sweep_plan,
 )
 
 
@@ -49,15 +51,18 @@ class TestConfigValidation:
 
     def test_events_resolved_to_steps(self, grid):
         """Times within 1e-9 steps of the grid map to their step, in time
-        order within a step; the sampling period maps to its step count."""
-        cfg = SimConfig(t_end=5.0, dt=2.5, record_every=2.5)
+        order within a step; the controller samples every period (2 steps)
+        from each activation until the next, and through the last step."""
+        cfg = SimConfig(t_end=25.0, dt=2.5, record_every=2.5)
         late = Event(time=5.0 + 1.25e-9, kind="line_reclose", line_id="23-24")
         trip = Event(time=5.0, kind="line_trip", line_id="23-24")
         early = Event(time=2.5 - 1.25e-9, kind="activate_ofo")
-        schedule, sample_steps = check_events(grid.net, [late, early, trip],
-                                              cfg, 5.0)
-        assert schedule == {1: [early], 2: [trip, late]}
-        assert sample_steps == 2
+        again = Event(time=10.0, kind="activate_ofo")
+        schedule, samples = check_events(grid.net, [late, again, early, trip],
+                                         cfg, 5.0)
+        assert schedule == {1: [early], 2: [trip, late], 4: [again]}
+        assert samples == {1, 3, 4, 6, 8, 10}
+        assert check_events(grid.net, [trip], cfg, 5.0)[1] == set()
 
     @pytest.mark.parametrize("period", [0.503, 1e-12, np.nan])
     def test_sampling_period_checked(self, grid, period):
@@ -386,6 +391,20 @@ class TestEvents:
             None, SimConfig(t_end=5.0, dt=2.5, record_every=2.5))
         assert traj.events == [(5.0, "line 23-24 tripped")]
 
+    def test_samples_restart_at_each_activation(self, grid, monkeypatch):
+        """The controller samples every 0.5 s from 1.0 s, and from 1.3 s on
+        every 0.5 s from the second activation."""
+        times = []
+        orig = DynamicSimulation.controller_update
+        monkeypatch.setattr(DynamicSimulation, "controller_update",
+                            lambda sim, t: times.append(t) or orig(sim, t))
+        events = [Event(time=0.3, kind="line_trip", line_id="23-24"),
+                  Event(time=1.0, kind="activate_ofo"),
+                  Event(time=1.3, kind="activate_ofo")]
+        run_scenario(grid, events, default_config(grid.net, sampling_period=0.5),
+                     SimConfig(t_end=3.0, dt=0.01, record_every=0.1))
+        np.testing.assert_allclose(times, [1.0, 1.3, 1.8, 2.3, 2.8])
+
     def test_set_input_override(self, grid):
         n_gen = grid.net.n_gen
         u = np.concatenate([np.full(n_gen, 0.1),
@@ -484,3 +503,29 @@ class TestControllerUpdate:
             plant, model = in_service(sim._net_now), in_service(sim._model_net)
             assert plant["23-24"] is status and plant["16-17"]
             assert model == {**plant, "16-17": False}
+
+
+class TestSweepStatistics:
+    def test_statistics_match_oracle_by_time(self, grid):
+        """On the sweep benchmark's timeline, the nominal run's and the
+        16-17 member's statistics equal a recomputation by time: rows found
+        with searchsorted, as tests/test_acceptance.py finds them."""
+        events = [Event(time=0.3, kind="line_trip", line_id="23-24"),
+                  Event(time=1.0, kind="activate_ofo")]
+        ofo_cfg = default_config(grid.net, alpha=3.0, sampling_period=0.5)
+        cfg = SimConfig(t_end=3.0, dt=0.01, record_every=0.1)
+        plan = sweep_plan(grid, events, ofo_cfg, cfg)
+        assert plan.members[0] is None and "16-17" in plan.members
+        nominal = run_scenario(grid, events, ofo_cfg, cfg)
+        t = nominal.t
+        i_on = int(np.searchsorted(t, 1.0 - 1e-9))
+        peak = nominal.vgap[:i_on].max()
+        for member in (nominal, run_scenario(grid, events, ofo_cfg, cfg,
+                                             sensitivity_topology="16-17")):
+            vgap = member.vgap
+            halve = next((k for k in range(1, 5) if vgap[int(np.searchsorted(
+                t, 1.0 + 0.5 * k - 1e-9))] <= 0.5 * vgap[i_on]), None)
+            top = vgap[i_on:].max()
+            stable = bool(top <= 3.0 * peak and vgap[-1] < peak)
+            assert gap_statistics(plan, nominal.vgap, vgap) == (
+                top, vgap[-1], halve, stable)
