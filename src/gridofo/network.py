@@ -7,14 +7,19 @@ construction, so flow limits are one-sided caps.
 A line enters every network computation through `NetworkModel.branches`:
 from/to bus indices and series/shunt admittances, zero for a line out of
 service. The Y-bus, the line flows and their partials (in `sensitivity`)
-are vectorized over those arrays, and `pf_jacobian` is the one Newton
-Jacobian, shared by the power flow and the sensitivity. A power flow takes
-the buses' loads, or a `load` vector that replaces them, so a caller whose
-loads change but whose topology does not keeps one model.
+are vectorized over those arrays. Each topology also has one read-only
+`NewtonPlan` (`NetworkModel.newton_plan`), built on first use: the Y-bus,
+the Newton unknowns, the slack, the bus loads and Y's nonzero pattern with
+the scatter positions of the Jacobian. `pf_jacobian` assembles the one
+Newton Jacobian from those nonzeros, for the power flow and the
+sensitivity alike. A power flow takes the buses' loads, or a `load` vector
+that replaces them, so a caller whose loads change but whose topology does
+not keeps one model and its plan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -164,6 +169,11 @@ class NetworkModel:
         return next(i for i, b in enumerate(self.buses) if b.kind == SLACK)
 
     @cached_property
+    def newton_plan(self) -> "NewtonPlan":
+        """Y-bus, unknowns and Jacobian scatter of this topology, cached read-only."""
+        return _newton_plan(self)
+
+    @cached_property
     def gen_bus_indices(self) -> np.ndarray:
         """Bus index of every generator, cached read-only."""
         return _read_only(np.array([self.bus_index(g.bus) for g in self.generators],
@@ -302,46 +312,134 @@ def complex_voltage_gap(m: Measurement) -> float:
 # Newton-Raphson power flow
 # ---------------------------------------------------------------------------
 
-def pf_jacobian(Y: np.ndarray, V: np.ndarray, ang_idx: np.ndarray,
-                mag_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton Jacobian of the polar mismatch [P[ang_idx]; Q[mag_idx]].
+@dataclass(frozen=True, eq=False)
+class NewtonPlan:
+    """What the Newton power flow and its sensitivity need of one topology.
 
-    Returns J, the partials of the mismatch in [theta[ang_idx]; |V|[mag_idx]],
-    and dF_dVm, the partials of the same mismatch rows in every bus voltage
-    magnitude (shape (len(J), n_bus)), whose columns at regulated buses are
-    the voltage set-point partials. The complex injection partials are
-    MATPOWER's dense formulas (Zimmerman et al., IEEE TPWRS 2011), broadcast.
+    Built once per model (`NetworkModel.newton_plan`), every array read-only.
+    The mismatch rows are [P[ang_idx]; Q[mag_idx]], the unknowns
+    [theta[ang_idx]; |V|[mag_idx]] and the controller inputs u = [p set-points;
+    v set-points] per generator. Y's nonzeros are listed row by row, the
+    diagonal always included; `pf_jacobian` scatters their injection partials
+    into [J | dF/du] at `jac_dst`.
     """
-    I = Y @ V
-    v_unit = V / np.abs(V)
-    dS_dVa = 1j * V[:, None] * np.conj(np.diag(I) - Y * V)
-    dS_dVm = V[:, None] * np.conj(Y * v_unit) + np.diag(np.conj(I) * v_unit)
-    dF_dVa, dF_dVm = (np.vstack([d[ang_idx].real, d[mag_idx].imag])
-                      for d in (dS_dVa, dS_dVm))
-    return np.hstack([dF_dVa[:, ang_idx], dF_dVm[:, mag_idx]]), dF_dVm
+
+    Y: np.ndarray
+    ang_idx: np.ndarray  # PV and PQ buses: angle unknowns and P rows
+    mag_idx: np.ndarray  # PQ buses: magnitude unknowns and Q rows
+    slack: int
+    load: np.ndarray  # complex bus loads
+    rows: np.ndarray  # Y's nonzero pattern and values
+    cols: np.ndarray
+    y_nz: np.ndarray
+    row_starts: np.ndarray  # first nonzero of each row
+    diag: np.ndarray  # each bus's diagonal among the nonzeros
+    mismatch_idx: np.ndarray  # [P[ang_idx]; Q[mag_idx]] in S viewed as real pairs
+    jac_src: np.ndarray  # entries of the stacked partials, viewed as real pairs
+    jac_dst: np.ndarray  # and their flat positions in [J | dF/du]
+    p_set_dst: np.ndarray  # flat positions of the -1 of each non-slack p set-point
+    jac_shape: tuple[int, int]
+    # for the sensitivity, rows of the bus state stacked as [theta; |V|]:
+    state_rows: np.ndarray  # the unknowns'
+    v_set_rows: np.ndarray  # the magnitude each v set-point pins
+    line_ends: np.ndarray  # (theta_f, theta_t, |V|_f, |V|_t) of each line
 
 
-def _newton_indices(net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Buses whose angle (PV and PQ) and whose magnitude (PQ) are unknowns."""
+def _newton_plan(net: NetworkModel) -> NewtonPlan:
+    n, n_gen = net.n_bus, net.n_gen
+    gen_bus = net.gen_bus_indices
     kinds = np.array([b.kind for b in net.buses])
     pv, pq = np.flatnonzero(kinds == PV), np.flatnonzero(kinds == PQ)
-    return np.concatenate([pv, pq]), pq
+    ang_idx, mag_idx = np.concatenate([pv, pq]), pq
+    n_ang = len(ang_idx)
+    n_unk = n_ang + len(mag_idx)
+    width = n_unk + 2 * n_gen
+
+    Y = build_ybus(net)
+    pattern = Y != 0
+    pattern.flat[::n + 1] = True
+    rows, cols = np.nonzero(pattern)
+    nnz = len(rows)
+    # each bus's P row and angle column, and its Q row and magnitude column,
+    # in [J | dF/du]; -1 where the bus has none
+    p_at, q_at = np.full(n, -1), np.full(n, -1)
+    p_at[ang_idx] = np.arange(n_ang)
+    q_at[mag_idx] = np.arange(n_ang, n_unk)
+    # nonzero k = (i, j) has a partial in theta_j and one in |V|_j, and the
+    # v set-point of a generator at bus j takes that |V|_j partial too; the
+    # partials sit in dS viewed as real pairs: [theta: re, im | |V|: re, im]
+    k_set, g_set = np.nonzero(cols[:, None] == gen_bus)
+    k = np.concatenate([np.arange(nnz), np.arange(nnz), k_set])
+    col = np.concatenate([p_at[cols], q_at[cols], n_unk + n_gen + g_set])
+    re = 2 * k
+    re[nnz:] += 2 * nnz
+    # the P row of bus i takes the real part, its Q row the imaginary part
+    row = np.concatenate([p_at[rows[k]], q_at[rows[k]]])
+    col, src = np.concatenate([col, col]), np.concatenate([re, re + 1])
+    keep = (row >= 0) & (col >= 0)
+    src, dst = src[keep], (row * width + col)[keep]
+    p_gens = np.flatnonzero(p_at[gen_bus] >= 0)  # the slack's P is no input
+    f, t = net.branches[:2]
+
+    arrays = dict(
+        Y=Y, ang_idx=ang_idx, mag_idx=mag_idx,
+        load=np.array([complex(b.load_p, b.load_q) for b in net.buses]),
+        rows=rows, cols=cols, y_nz=Y[rows, cols],
+        row_starts=np.searchsorted(rows, np.arange(n)),
+        diag=np.flatnonzero(rows == cols),
+        mismatch_idx=np.concatenate([2 * ang_idx, 2 * mag_idx + 1]),
+        jac_src=src, jac_dst=dst,
+        p_set_dst=p_at[gen_bus[p_gens]] * width + n_unk + p_gens,
+        state_rows=np.concatenate([ang_idx, n + mag_idx]),
+        v_set_rows=n + gen_bus,
+        line_ends=np.stack([f, t, n + f, n + t]),
+    )
+    return NewtonPlan(slack=net.slack_index, jac_shape=(n_unk, width),
+                      **{name: _read_only(a) for name, a in arrays.items()})
+
+
+def pf_jacobian(plan: NewtonPlan, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton Jacobian of the polar mismatch F = [P[ang_idx]; Q[mag_idx]] at V.
+
+    Returns J = dF/d[theta[ang_idx]; |V|[mag_idx]] and dF/du, the partials in
+    the controller inputs u = [p set-points; v set-points], as two column
+    blocks of one array. A v set-point is the magnitude at its generator's
+    bus; a p set-point enters its bus's P row with -1, the slack's not at all.
+    The complex injection partials are MATPOWER's (Zimmerman et al., IEEE
+    TPWRS 2011), evaluated on Y's nonzeros only: with M_k = V_i conj(Y_k V_j),
+    dS/dtheta = j (diag S - M) and dS/d|V| = (M + diag S) / |V_j|.
+    """
+    cols = plan.cols
+    M = V[plan.rows] * np.conj(plan.y_nz * V[cols])
+    S = np.add.reduceat(M, plan.row_starts)
+    dS = np.empty((2, len(M)), dtype=complex)
+    np.multiply(M, -1j, out=dS[0])
+    dS[0, plan.diag] += 1j * S
+    dS[1] = M
+    dS[1, plan.diag] += S
+    dS[1] /= np.abs(V[cols])
+    A = np.zeros(plan.jac_shape)
+    flat = A.reshape(-1)
+    flat[plan.jac_dst] = dS.view(float).reshape(-1)[plan.jac_src]
+    flat[plan.p_set_dst] = -1.0
+    n_unk = plan.jac_shape[0]
+    return A[:, :n_unk], A[:, n_unk:]
 
 
 def specified_injections(
     net: NetworkModel, gen_p: Sequence[float], load: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scheduled net P and Q injection per bus (generation minus load).
+) -> np.ndarray:
+    """Scheduled net complex injection per bus (generation minus load).
 
     `load`, complex and ordered like the buses, replaces the buses' own loads.
     """
     if load is None:
-        load = np.array([complex(b.load_p, b.load_q) for b in net.buses])
+        load = net.newton_plan.load
     elif np.shape(load) != (net.n_bus,):
         raise GridDataError("load vector must be dimensioned to the buses")
-    P, Q = -np.real(load), -np.imag(load)
-    np.add.at(P, net.gen_bus_indices, np.asarray(gen_p, dtype=float))
-    return P, Q
+    S = -np.asarray(load, dtype=complex)
+    np.add.at(S.real, net.gen_bus_indices, np.asarray(gen_p, dtype=float))
+    return S
 
 
 def solve_power_flow(
@@ -355,44 +453,44 @@ def solve_power_flow(
 
     gen_p / gen_v are ordered like net.generators. The slack generator's
     gen_p entry is ignored; its gen_v entry pins the slack magnitude.
-    `load` replaces the bus loads (see `specified_injections`).
+    `load` replaces the bus loads (see `specified_injections`). A start
+    point or a mismatch that is not finite ends the iteration at once.
     """
     if len(gen_p) != net.n_gen or len(gen_v) != net.n_gen:
         raise GridDataError("gen_p/gen_v must be dimensioned to the generators")
+    plan = net.newton_plan
     n = net.n_bus
-    Y = build_ybus(net)
-    ang_idx, mag_idx = _newton_indices(net)
-
-    vm = np.ones(n)
-    va = np.zeros(n)
-    if warm_start is not None:
-        vm = warm_start.v.copy()
-        va = warm_start.theta.copy()
+    if warm_start is None:
+        vm, va = np.ones(n), np.zeros(n)
+    elif warm_start.v.shape == warm_start.theta.shape == (n,):
+        vm, va = warm_start.v.copy(), warm_start.theta.copy()
+    else:
+        raise GridDataError("warm start dimension does not match network")
     vm[net.gen_bus_indices] = gen_v
-    va -= va[net.slack_index]
+    if not (np.isfinite(vm).all() and np.isfinite(va).all()):
+        raise PowerFlowDivergenceError(math.nan, 0)
+    va -= va[plan.slack]
+    S_spec = specified_injections(net, gen_p, load)
+    ang_idx, mag_idx = plan.ang_idx, plan.mag_idx
+    n_ang = len(ang_idx)
 
-    P_spec, Q_spec = specified_injections(net, gen_p, load)
-
-    residual = np.inf
     for it in range(_PF_MAX_ITER + 1):
         V = vm * np.exp(1j * va)
-        S = V * np.conj(Y @ V)
-        dP = S.real - P_spec
-        dQ = S.imag - Q_spec
-        mism = np.concatenate([dP[ang_idx], dQ[mag_idx]])
-        residual = float(np.max(np.abs(mism))) if mism.size else 0.0
+        S = V * np.conj(plan.Y @ V)
+        mism = (S - S_spec).view(float)[plan.mismatch_idx]
+        residual = float(np.abs(mism).max()) if mism.size else 0.0
         if residual <= _PF_TOL:
             return PowerFlowSolution(
                 v=vm, theta=va, p_inj=S.real, q_inj=S.imag,
                 residual=residual, iterations=it,
             )
-        if it == _PF_MAX_ITER:
+        if it == _PF_MAX_ITER or not math.isfinite(residual):
             break
-        J, _ = pf_jacobian(Y, V, ang_idx, mag_idx)
+        J, _ = pf_jacobian(plan, V)
         try:
             dx = np.linalg.solve(J, -mism)
         except np.linalg.LinAlgError:
             raise PowerFlowDivergenceError(residual, it) from None
-        va[ang_idx] += dx[: len(ang_idx)]
-        vm[mag_idx] += dx[len(ang_idx):]
-    raise PowerFlowDivergenceError(residual, _PF_MAX_ITER)
+        va[ang_idx] += dx[:n_ang]
+        vm[mag_idx] += dx[n_ang:]
+    raise PowerFlowDivergenceError(residual, it)

@@ -11,11 +11,12 @@ slack variables when the emergency state makes them jointly infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridDataError, OfoStepError
-from .network import Measurement, NetworkModel
+from .network import Measurement, NetworkModel, _read_only
 from .qp import OPTIMAL, QpProblem, qp_solve
 from .sensitivity import SensitivityMatrix
 
@@ -48,13 +49,22 @@ class OfoConfig:
         if np.any(self.out_v_min > self.out_v_max):
             raise GridDataError("ofo: output voltage bounds must be ordered")
 
-    @property
-    def u_min(self) -> np.ndarray:
-        return np.concatenate([self.p_min, self.v_min])
+    # the input bounds and their QP rows, built once per configuration
 
-    @property
+    @cached_property
+    def u_min(self) -> np.ndarray:
+        return _read_only(np.concatenate([self.p_min, self.v_min]))
+
+    @cached_property
     def u_max(self) -> np.ndarray:
-        return np.concatenate([self.p_max, self.v_max])
+        return _read_only(np.concatenate([self.p_max, self.v_max]))
+
+    @cached_property
+    def input_rows(self) -> np.ndarray:
+        """alpha [I; -I], the input-bound rows alpha*w <= u_max - u and
+        -alpha*w <= u - u_min of every projection QP."""
+        eye = np.eye(self.u_min.size)
+        return _read_only(self.alpha * np.vstack([eye, -eye]))
 
 
 def default_config(net: NetworkModel, **overrides) -> OfoConfig:
@@ -132,17 +142,15 @@ def assemble_projection_qp(cfg: OfoConfig, u: np.ndarray, y_m: Measurement,
                            S: SensitivityMatrix) -> QpProblem:
     """Least-distance projection QP at input u for measurement y_m and sensitivity S."""
     y, mat = y_m.as_vector(), S.matrix
-    n_u = u.size
-    if mat.shape != (y.size, n_u):
+    if u.shape != cfg.u_min.shape or mat.shape != (y.size, u.size):
         raise GridDataError("ofo: sensitivity dimensions inconsistent with u and y")
 
     g = mat.T @ objective_gradient(y_m)
 
-    eye = np.eye(n_u)
-    G_in = cfg.alpha * np.vstack([eye, -eye])
     h_in = np.concatenate([cfg.u_max - u, u - cfg.u_min])
     G_out, h_out = _output_rows(cfg, y, mat)
-    return QpProblem(g=g, G_ineq=np.vstack([G_in, G_out]), h_ineq=np.concatenate([h_in, h_out]))
+    return QpProblem(g=g, G_ineq=np.vstack([cfg.input_rows, G_out]),
+                     h_ineq=np.concatenate([h_in, h_out]))
 
 
 def _soften_outputs(cfg: OfoConfig, problem: QpProblem, n_u: int) -> QpProblem:

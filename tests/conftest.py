@@ -39,6 +39,45 @@ def two_bus_net(r=0.0, x=0.1, load_p=1.0, load_q=0.2):
     )
 
 
+def three_bus_net(isolate_bus_3=False):
+    """Slack at bus 1 feeding PQ loads at buses 2 and 3 down a chain.
+
+    With `isolate_bus_3`, line 2-3 is out of service, so bus 3 has no line and
+    no shunt: its P and Q rows of the Newton Jacobian are exactly zero.
+    """
+    return NetworkModel(
+        buses=(
+            Bus(id=1, kind="slack"),
+            Bus(id=2, kind="PQ", load_p=0.5, load_q=0.1),
+            Bus(id=3, kind="PQ", load_p=0.2, load_q=0.05),
+        ),
+        lines=(Line(id="1-2", from_bus=1, to_bus=2, r=0.01, x=0.1),
+               Line(id="2-3", from_bus=2, to_bus=3, r=0.01, x=0.1,
+                    in_service=not isolate_bus_3)),
+        generators=(GenLocation(bus=1, machine="G1", p_set=0.0, v_set=1.0),),
+        base_power=100.0,
+        monitored_pair=(1, 3),
+    )
+
+
+def dense_pf_jacobian(Y, V, ang_idx, mag_idx):
+    """MATPOWER's dense injection partials (Zimmerman et al., IEEE TPWRS
+    2011), broadcast over the full bus-by-bus arrays: the reference for the
+    Newton plan's sparse-pattern Jacobian.
+
+    Returns J, the partials of [P[ang_idx]; Q[mag_idx]] in
+    [theta[ang_idx]; |V|[mag_idx]], and dF_dVm, the partials of the same rows
+    in every bus voltage magnitude.
+    """
+    I = Y @ V
+    v_unit = V / np.abs(V)
+    dS_dVa = 1j * V[:, None] * np.conj(np.diag(I) - Y * V)
+    dS_dVm = V[:, None] * np.conj(Y * v_unit) + np.diag(np.conj(I) * v_unit)
+    dF_dVa, dF_dVm = (np.vstack([d[ang_idx].real, d[mag_idx].imag])
+                      for d in (dS_dVa, dS_dVm))
+    return np.hstack([dF_dVa[:, ang_idx], dF_dVm[:, mag_idx]]), dF_dVm
+
+
 def two_bus_analytic_v2(x, load_p, load_q, v1=1.0):
     """Receiving-end complex voltage of a lossless two-bus feeder.
 

@@ -20,10 +20,16 @@ from gridofo.network import (
     extract_measurement,
     line_admittances,
     line_flow_complex,
+    pf_jacobian,
     solve_power_flow,
 )
 
-from conftest import two_bus_analytic_v2, two_bus_net
+from conftest import (
+    dense_pf_jacobian,
+    three_bus_net,
+    two_bus_analytic_v2,
+    two_bus_net,
+)
 
 
 class TestYbus:
@@ -152,6 +158,43 @@ class TestPowerFlow:
         with pytest.raises(GridDataError):
             solve_power_flow(grid.net, [0.0], [1.0])
 
+    def test_warm_start_of_other_network_rejected(self, grid):
+        net = grid.net
+        other = solve_power_flow(three_bus_net(), [0.0], [1.0])
+        with pytest.raises(GridDataError, match="warm start"):
+            solve_power_flow(net, [g.p_set for g in net.generators],
+                             [g.v_set for g in net.generators], warm_start=other)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["gen_p", "gen_v", "warm_v", "warm_theta", "load"])
+    def test_non_finite_input_stops_at_once(self, grid, base_solution, where, bad):
+        """A non-finite set-point, warm start or load ends the power flow
+        before its first Newton step, with no numpy warning."""
+        net = grid.net
+        gen_p = np.array([g.p_set for g in net.generators])
+        gen_v = np.array([g.v_set for g in net.generators])
+        load = np.array([complex(b.load_p, b.load_q) for b in net.buses])
+        warm = {"v": base_solution.v.copy(), "theta": base_solution.theta.copy()}
+        target = {"gen_p": gen_p, "gen_v": gen_v, "load": load,
+                  "warm_v": warm["v"], "warm_theta": warm["theta"]}[where]
+        target[3] = bad
+        with pytest.raises(PowerFlowDivergenceError) as err:
+            solve_power_flow(net, gen_p, gen_v, load=load,
+                             warm_start=replace(base_solution, **warm))
+        assert err.value.iterations == 0
+        assert not np.isfinite(err.value.residual)
+
+    def test_singular_jacobian_reported(self):
+        """A PQ bus with no in-service line and no shunt has all-zero P and Q
+        rows: the Newton solve is exactly singular."""
+        net = three_bus_net(isolate_bus_3=True)
+        J, _ = pf_jacobian(net.newton_plan, np.ones(3, dtype=complex))
+        assert not J[[1, 3]].any()  # bus 3's P and Q rows
+        with pytest.raises(PowerFlowDivergenceError) as err:
+            solve_power_flow(net, [0.0], [1.0])
+        assert err.value.iterations == 0
+
 
 class TestMeasurement:
     def test_vector_layout(self, grid, base_solution):
@@ -223,11 +266,28 @@ class TestTopologyEdits:
             solve_power_flow(net, gen_p, gen_v, load=load[:3])
 
     def test_cached_arrays_read_only(self, grid):
-        """The arrays cached on a shared model cannot be edited by a caller."""
+        """The arrays cached on a shared model, its Newton plan's included,
+        cannot be edited by a caller."""
         net = grid.net
-        for a in (*net.branches, net.gen_bus_indices):
+        plan = net.newton_plan
+        plan_arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+        assert len(plan_arrays) == 16
+        for a in (*net.branches, net.gen_bus_indices, *plan_arrays):
             with pytest.raises(ValueError):
-                a[0] = a[1]
+                a.flat[0] = a.flat[1]
+
+    def test_topology_edit_gets_fresh_plan(self, grid):
+        """`with_line_out` builds its own Newton plan: the parent's stays as
+        it was, and the copy's Y-bus lacks the line."""
+        net = grid.net
+        plan = net.newton_plan
+        reduced = net.with_line_out("23-24")
+        assert reduced.newton_plan is not plan
+        assert net.newton_plan is plan
+        f, t = net.bus_index(23), net.bus_index(24)
+        assert plan.Y[f, t] != 0 and reduced.newton_plan.Y[f, t] == 0
+        assert len(reduced.newton_plan.rows) == len(plan.rows) - 2
+        np.testing.assert_array_equal(reduced.newton_plan.Y, build_ybus(reduced))
 
     def test_components_detect_islands(self, grid):
         net = grid.net
@@ -249,3 +309,51 @@ class TestTopologyEdits:
             NetworkModel(buses=(Bus(id=1),), lines=(),
                          generators=(GenLocation(bus=2, machine="G"),),
                          base_power=100.0, monitored_pair=(1, 1))
+
+
+def _jacobian_cases():
+    """(name, model, complex bus voltages): random operating points on the
+    bundled grid, intact and after a 23-24 trip, and on the two-bus net."""
+    from gridofo.dataio import bundled_path, load_grid
+
+    net = load_grid(bundled_path("ieee39.json")).net
+    rng = np.random.default_rng(17)
+    for name, model in (("ieee39", net), ("ieee39-23-24", net.with_line_out("23-24")),
+                        ("two-bus", two_bus_net(r=0.02, x=0.1))):
+        for k in range(3):
+            V = (rng.uniform(0.9, 1.1, model.n_bus)
+                 * np.exp(1j * rng.uniform(-0.6, 0.6, model.n_bus)))
+            yield pytest.param(model, V, id=f"{name}-{k}")
+
+
+class TestNewtonPlan:
+    """The plan's sparse-pattern Jacobian against the dense formulas, to
+    1e-12 of the largest Jacobian entry."""
+
+    @pytest.mark.parametrize("net,V", _jacobian_cases())
+    def test_jacobian_matches_dense_formulas(self, net, V):
+        plan = net.newton_plan
+        J, dF_du = pf_jacobian(plan, V)
+        want_J, dF_dVm = dense_pf_jacobian(build_ybus(net), V, plan.ang_idx,
+                                           plan.mag_idx)
+        tol = 1e-12 * np.abs(want_J).max()
+        assert J.shape == want_J.shape
+        assert np.abs(J - want_J).max() <= tol
+        # v set-points: the magnitude partials at each generator's bus;
+        # p set-points: -1 in a non-slack generator's P row
+        n_gen = net.n_gen
+        assert np.abs(dF_du[:, n_gen:] - dF_dVm[:, net.gen_bus_indices]).max() <= tol
+        want_p = np.zeros((len(J), n_gen))
+        for g, bus in enumerate(net.gen_bus_indices):
+            if bus != net.slack_index:
+                want_p[list(plan.ang_idx).index(bus), g] = -1.0
+        np.testing.assert_array_equal(dF_du[:, :n_gen], want_p)
+
+    def test_pattern_is_ybus_nonzeros_and_diagonal(self, grid):
+        net = grid.net.with_line_out("23-24")
+        plan = net.newton_plan
+        mask = np.zeros((net.n_bus, net.n_bus), dtype=bool)
+        mask[plan.rows, plan.cols] = True
+        want = (build_ybus(net) != 0) | np.eye(net.n_bus, dtype=bool)
+        np.testing.assert_array_equal(mask, want)
+        np.testing.assert_array_equal(plan.y_nz, build_ybus(net)[plan.rows, plan.cols])

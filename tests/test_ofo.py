@@ -102,6 +102,25 @@ class TestQpAssembly:
         m = make_measurement([1.0, 1.0, 1.0], [0.0, 0.0], 0.0)
         with pytest.raises(GridDataError):
             assemble_projection_qp(cfg, np.zeros(4), m, sens(np.zeros((5, 4))))
+        with pytest.raises(GridDataError):  # u of the wrong size, S to match
+            assemble_projection_qp(cfg, np.zeros(3), m, sens(np.zeros((6, 3))))
+
+    def test_input_rows_built_once(self):
+        """The input-bound rows alpha [I; -I] and the stacked bounds are the
+        configuration's, shared read-only by every QP it assembles."""
+        cfg = small_config(alpha=2.5)
+        eye = np.eye(4)
+        np.testing.assert_array_equal(cfg.input_rows, 2.5 * np.vstack([eye, -eye]))
+        np.testing.assert_array_equal(cfg.u_min, [0.0, 0.0, 0.9, 0.9])
+        np.testing.assert_array_equal(cfg.u_max, [1.0, 1.0, 1.1, 1.1])
+        for name in ("input_rows", "u_min", "u_max"):
+            a = getattr(cfg, name)
+            assert getattr(cfg, name) is a
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+        m = make_measurement([1.0, 1.0, 1.0], [0.0, 0.0], 0.0)
+        problem = assemble_projection_qp(cfg, np.full(4, 0.5), m, sens(np.zeros((6, 4))))
+        np.testing.assert_array_equal(problem.G_ineq[:8], cfg.input_rows)
 
 
 class TestClosedLoopOnLinearPlant:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from gridofo.errors import GridDataError, VoltageCollapseProximityError
 from gridofo.network import extract_measurement, line_flow_complex, solve_power_flow
 from gridofo.sensitivity import _flow_partials, compute_sensitivity
+
+from conftest import three_bus_net
 
 FD_STEP = 1e-5
 
@@ -75,12 +78,20 @@ class TestAgainstFiniteDifferences:
 class TestFlowPartials:
     def test_against_finite_differences(self, grid, base_inputs):
         """d|S_from|/d(theta_k) and d|S_from|/d(|V_k|) against central
-        differences of line_flow_complex, on the post-trip grid; the tripped
-        line's rows are exactly zero."""
+        differences of line_flow_complex at every bus, on the post-trip grid:
+        the partials at each line's two ends, placed at those buses, and zero
+        elsewhere; the tripped line's rows are exactly zero."""
         gen_p, gen_v = base_inputs
         net = grid.net.with_line_out("23-24")
         sol = solve_power_flow(net, gen_p, gen_v)
-        dl_dva, dl_dvm = _flow_partials(net, sol.v_complex)
+        ends = _flow_partials(net, sol.v_complex)
+        assert ends.shape == (4, net.n_line)
+        f, t = net.branches[:2]
+        rows = np.arange(net.n_line)
+        dl_dva = np.zeros((net.n_line, net.n_bus))
+        dl_dvm = np.zeros((net.n_line, net.n_bus))
+        dl_dva[rows, f], dl_dva[rows, t] = ends[0], ends[1]
+        dl_dvm[rows, f], dl_dvm[rows, t] = ends[2], ends[3]
         h = 1e-7
 
         def flows(vm, va):
@@ -144,6 +155,18 @@ class TestStructure:
         a = compute_sensitivity(grid.net, base_solution).matrix
         b = compute_sensitivity(grid.net, base_solution).matrix
         assert np.array_equal(a, b)
+
+    def test_operating_point_of_other_network_rejected(self, grid):
+        other = solve_power_flow(three_bus_net(), [0.0], [1.0])
+        with pytest.raises(GridDataError, match="operating point"):
+            compute_sensitivity(grid.net, other)
+
+    def test_singular_jacobian_reported(self):
+        """At a bus left with no in-service line and no shunt, the Jacobian
+        has zero rows and no sensitivity exists."""
+        op = solve_power_flow(three_bus_net(), [0.0], [1.0])
+        with pytest.raises(VoltageCollapseProximityError, match="singular"):
+            compute_sensitivity(three_bus_net(isolate_bus_3=True), op)
 
 
 class TestPerturbedTopology:
