@@ -83,7 +83,7 @@ def cmd_simulate(args) -> int:
                         sensitivity_topology=args.sensitivity_topology)
     _write_trajectory_csv(out / "trajectory.csv", traj, grid.net.n_gen)
     with open(out / "events.log", "w") as fh:
-        fh.writelines(f"{t:10.3f}  {msg}\n" for t, msg in traj.events)
+        fh.writelines(f"{ev.t:10.3f}  {ev.text}\n" for ev in traj.events)
 
     names = [f"G{g.bus}" for g in grid.net.generators]
     gap_chart(traj.t, traj.vgap, traj.events).write(out / "gap.svg")
@@ -95,14 +95,12 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_worker(task):
-    """Run one sweep member in a worker process; returns (failure text or
-    None, t, vgap)."""
-    grid_path, scenario_path, topology = task
-    grid = load_grid(grid_path)
-    scen = load_scenario(scenario_path)
-    ofo_cfg = default_config(grid.net, **scen.ofo)
+    """Run one sweep member, given the parsed grid, events, SimConfig and
+    OfoConfig and the member's erased line (None for the nominal run), in a
+    worker process; returns (failure text or None, t, vgap)."""
+    grid, events, sim_cfg, ofo_cfg, topology = task
     try:
-        traj = run_scenario(grid, scen.events, ofo_cfg, scen.sim,
+        traj = run_scenario(grid, events, ofo_cfg, sim_cfg,
                             sensitivity_topology=topology)
     except GridOfoError as exc:
         return f"{type(exc).__name__}: {exc}", None, None
@@ -112,15 +110,16 @@ def _sweep_worker(task):
 def cmd_robustness(args) -> int:
     grid = load_grid(args.grid)
     scen = load_scenario(args.scenario)
+    ofo_cfg = default_config(grid.net, **scen.ofo)
     # reject bad input here: a worker would report it as a failed member
-    plan = sweep_plan(grid, scen.events, default_config(grid.net, **scen.ofo),
-                      scen.sim)
+    plan = sweep_plan(grid, scen.events, ofo_cfg, scen.sim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     with ProcessPoolExecutor() as pool:
         results = dict(zip(plan.members, pool.map(
-            _sweep_worker, [(args.grid, args.scenario, m) for m in plan.members])))
+            _sweep_worker,
+            [(grid, scen.events, scen.sim, ofo_cfg, m) for m in plan.members])))
 
     failure, t, nominal = results.pop(None)
     if failure is not None:

@@ -442,6 +442,12 @@ def specified_injections(
     return S
 
 
+def _positive_magnitudes(vm: np.ndarray) -> bool:
+    """Whether every voltage magnitude is finite and > 0, as `pf_jacobian`,
+    which divides by them, needs."""
+    return bool(0 < vm.min() and vm.max() < np.inf)  # False on NaN
+
+
 def solve_power_flow(
     net: NetworkModel,
     gen_p: Sequence[float],
@@ -454,7 +460,9 @@ def solve_power_flow(
     gen_p / gen_v are ordered like net.generators. The slack generator's
     gen_p entry is ignored; its gen_v entry pins the slack magnitude.
     `load` replaces the bus loads (see `specified_injections`). A start
-    point or a mismatch that is not finite ends the iteration at once.
+    point whose angles are not finite, or whose magnitudes (set-points
+    included) are not finite and > 0, or a mismatch that is not finite, ends
+    the iteration at once.
     """
     if len(gen_p) != net.n_gen or len(gen_v) != net.n_gen:
         raise GridDataError("gen_p/gen_v must be dimensioned to the generators")
@@ -467,7 +475,7 @@ def solve_power_flow(
     else:
         raise GridDataError("warm start dimension does not match network")
     vm[net.gen_bus_indices] = gen_v
-    if not (np.isfinite(vm).all() and np.isfinite(va).all()):
+    if not (_positive_magnitudes(vm) and np.isfinite(va).all()):
         raise PowerFlowDivergenceError(math.nan, 0)
     va -= va[plan.slack]
     S_spec = specified_injections(net, gen_p, load)

@@ -3,7 +3,8 @@
 No plotting library is used: charts are assembled from SVG polylines, axis
 ticks and text labels so every figure can be regenerated offline from the
 CSV artifacts alone. Colors cycle through a fixed palette; vertical dashed
-markers annotate timed events.
+markers annotate a run's trips, recloses and controller activations, read
+from the kinds of its `simulator.RunEvent` records.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .simulator import ACTIVATE_OFO, LINE_RECLOSE, LINE_TRIP, RunEvent
 
 PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -180,20 +183,15 @@ class LineChart:
             fh.write(self.render())
 
 
-def _event_markers(chart: LineChart, events: Sequence[tuple[float, str]]):
-    seen = set()
-    for t, msg in events:
-        if "tripped" in msg:
-            key, label = (t, "trip"), "trip"
-        elif "reclosed" in msg:
-            key, label = (t, "reclose"), "reclose"
-        elif "activated" in msg:
-            key, label = (t, "ofo"), "OFO on"
-        else:
-            continue
-        if key not in seen:
-            seen.add(key)
-            chart.add_vline(t, label)
+# the run-log kinds drawn as markers, and their labels
+_MARKER_LABELS = {LINE_TRIP: "trip", LINE_RECLOSE: "reclose", ACTIVATE_OFO: "OFO on"}
+
+
+def _event_markers(chart: LineChart, events: Sequence[RunEvent]):
+    """One marker per marked kind and time."""
+    for t, kind in dict.fromkeys((ev.t, ev.kind) for ev in events
+                                 if ev.kind in _MARKER_LABELS):
+        chart.add_vline(t, _MARKER_LABELS[kind])
 
 
 def gap_chart(t, vgap, events=()) -> LineChart:

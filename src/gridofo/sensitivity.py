@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridDataError, VoltageCollapseProximityError
-from .network import NetworkModel, PowerFlowSolution, pf_jacobian
+from .network import NetworkModel, PowerFlowSolution, _positive_magnitudes, pf_jacobian
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,10 @@ def compute_sensitivity(net: NetworkModel, op: PowerFlowSolution) -> Sensitivity
     V = op.v_complex
     if V.shape != (n,):
         raise GridDataError("operating point dimension does not match network")
+    if not (_positive_magnitudes(op.v) and np.isfinite(op.theta).all()):
+        raise VoltageCollapseProximityError(
+            "operating point has a voltage magnitude that is not finite and > 0 "
+            "or an angle that is not finite")
     J, dF_du = pf_jacobian(plan, V)
     try:
         dz = np.linalg.solve(J, -dF_du)

@@ -23,12 +23,19 @@ under its guard), controller activation and direct set-point overrides. The
 controller's model topology and its islanded buses are settled with each
 plant topology; a controller sample passes its measured bus loads to the
 model power flow.
+
+A run reports what happened as typed `RunEvent` records, in the order they
+happened: each applied scenario event under its own kind, an ignored trip
+(`TRIP_IGNORED`), a reclose held by its guard (`RECLOSE_BLOCKED`) and a
+controller sample that held its input (`SAMPLE_SKIPPED`). `run_scenario`
+keeps the only log; `Trajectory.events` is that list, and each record's
+`text` is its line of `events.log`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -69,6 +76,10 @@ LINE_TRIP = "line_trip"
 LINE_RECLOSE = "line_reclose"
 ACTIVATE_OFO = "activate_ofo"
 SET_INPUT = "set_input"
+# run-log kinds beyond the applied scenario events
+TRIP_IGNORED = "trip_ignored"
+RECLOSE_BLOCKED = "reclose_blocked"
+SAMPLE_SKIPPED = "sample_skipped"
 
 _BLOWUP_LIMIT = 1e6
 # largest accepted relative residual of a topology's reduced network solve
@@ -151,6 +162,13 @@ class Event:
                                 f"on a {LINE_RECLOSE} only")
 
 
+class RunEvent(NamedTuple):
+    """One record of a run's log: its time, its kind, and its `events.log` text."""
+    t: float
+    kind: str
+    text: str
+
+
 @dataclass
 class Trajectory:
     t: np.ndarray
@@ -161,7 +179,7 @@ class Trajectory:
     p_ofo: np.ndarray
     v_ofo: np.ndarray
     p_m: np.ndarray
-    events: list[tuple[float, str]]
+    events: list[RunEvent]
 
 
 class DynamicSimulation:
@@ -209,7 +227,6 @@ class DynamicSimulation:
         self.E_f = self.E_f0.copy()
 
         self._sens_warm = sol0
-        self.event_log: list[tuple[float, str]] = []
         self._alloc_stage_buffers(self.mach.n)
         self._rebuild_network(net)
 
@@ -362,10 +379,12 @@ class DynamicSimulation:
 
     # -- controller ----------------------------------------------------------
 
-    def controller_update(self, t: float):
+    def controller_update(self, t: float) -> Optional[RunEvent]:
         """One controller sample on the model topology (the plant's, less the
         erased `sensitivity_topology` line of the robustness study), whose bus
-        loads are what the impedance loads draw at the measured voltages."""
+        loads are what the impedance loads draw at the measured voltages.
+        Returns the `SAMPLE_SKIPPED` record of a sample that held its input,
+        or None."""
         y_m = self.measurement(t)
         model_net = self._model_net
         load = self._load * (y_m.v / self._v0_mag) ** 2
@@ -393,12 +412,12 @@ class DynamicSimulation:
         except (IslandingError, PowerFlowDivergenceError,
                 VoltageCollapseProximityError) as exc:
             # no trustworthy sensitivity at this instant: hold the input
-            self.event_log.append((t, f"sensitivity update skipped: {exc}"))
-            return
+            return RunEvent(t, SAMPLE_SKIPPED, f"sensitivity update skipped: {exc}")
         try:
             self.ofo_state = ofo_update(self.ofo_cfg, st, y_m, S)
         except OfoStepError as exc:
-            self.event_log.append((t, f"set-point update skipped: {exc}"))
+            return RunEvent(t, SAMPLE_SKIPPED, f"set-point update skipped: {exc}")
+        return None
 
 
 def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
@@ -456,6 +475,7 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
     n_steps = round(sim_cfg.t_end / dt)
     rec_stride = round(sim_cfg.record_every / dt)
     blocked: list[Event] = []  # guarded recloses waiting for the angle
+    log: list[RunEvent] = []
 
     rec: dict[str, list] = {k: [] for k in (
         "t", "vgap", "v", "dtheta", "flows", "p_ofo", "v_ofo", "p_m")}
@@ -467,33 +487,34 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
             pending = [*pending, *blocked]
         for ev in pending:
             if ev.kind == LINE_TRIP:
-                changed = sim.set_line_status(ev.line_id, False)
-                sim.event_log.append(
-                    (t, f"line {ev.line_id} tripped" if changed
-                     else f"line {ev.line_id} already out; trip ignored"))
+                if sim.set_line_status(ev.line_id, False):
+                    log.append(RunEvent(t, LINE_TRIP, f"line {ev.line_id} tripped"))
+                else:
+                    log.append(RunEvent(t, TRIP_IGNORED,
+                                        f"line {ev.line_id} already out; trip ignored"))
             elif ev.kind == LINE_RECLOSE:
                 guard = ev.guard_max_angle_deg
                 if guard is not None and (gap_deg := abs(np.degrees(
                         sim.measurement(t).delta_theta))) >= guard:
                     if ev not in blocked:
                         blocked.append(ev)
-                        sim.event_log.append(
-                            (t, f"reclose of {ev.line_id} blocked: "
-                                f"angle {gap_deg:.1f} deg above guard"))
+                        log.append(RunEvent(
+                            t, RECLOSE_BLOCKED, f"reclose of {ev.line_id} blocked: "
+                                                f"angle {gap_deg:.1f} deg above guard"))
                     continue
                 if ev in blocked:
                     blocked.remove(ev)
                 if sim.set_line_status(ev.line_id, True):
-                    sim.event_log.append((t, f"line {ev.line_id} reclosed"))
+                    log.append(RunEvent(t, LINE_RECLOSE, f"line {ev.line_id} reclosed"))
             elif ev.kind == ACTIVATE_OFO:
                 sim.ofo_state = replace(sim.ofo_state, active=True)
-                sim.event_log.append((t, "OFO controller activated"))
+                log.append(RunEvent(t, ACTIVATE_OFO, "OFO controller activated"))
             else:  # SET_INPUT
                 sim.ofo_state = replace(sim.ofo_state, u=ev.u)
-                sim.event_log.append((t, "set-point override applied"))
+                log.append(RunEvent(t, SET_INPUT, "set-point override applied"))
 
-        if k in samples:
-            sim.controller_update(t)
+        if k in samples and (skip := sim.controller_update(t)) is not None:
+            log.append(skip)
 
         if k % rec_stride == 0:
             m = sim.measurement(t)
@@ -510,7 +531,7 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
             sim.step(dt)
 
     return Trajectory(**{key: np.array(rows) for key, rows in rec.items()},
-                      events=list(sim.event_log))
+                      events=log)
 
 
 @dataclass(frozen=True)

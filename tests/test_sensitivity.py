@@ -1,9 +1,16 @@
 """Power-flow sensitivities against central finite differences."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridofo.errors import GridDataError, VoltageCollapseProximityError
+from gridofo.errors import (
+    GridDataError,
+    PowerFlowDivergenceError,
+    VoltageCollapseProximityError,
+)
 from gridofo.network import extract_measurement, line_flow_complex, solve_power_flow
 from gridofo.sensitivity import _flow_partials, compute_sensitivity
 
@@ -160,6 +167,25 @@ class TestStructure:
         other = solve_power_flow(three_bus_net(), [0.0], [1.0])
         with pytest.raises(GridDataError, match="operating point"):
             compute_sensitivity(grid.net, other)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0])
+    @pytest.mark.parametrize("use", ["sensitivity", "warm_start"])
+    def test_bad_magnitude_refused_before_numpy_warns(self, grid, base_solution,
+                                                      base_inputs, use, bad):
+        """A PQ-bus magnitude that is NaN or 0 is refused with the usual typed
+        error before any division by it: by the sensitivity at that point,
+        and by a power flow warm-started from it."""
+        op = replace(base_solution, v=base_solution.v.copy())
+        op.v[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if use == "sensitivity":
+                with pytest.raises(VoltageCollapseProximityError):
+                    compute_sensitivity(grid.net, op)
+            else:
+                with pytest.raises(PowerFlowDivergenceError) as err:
+                    solve_power_flow(grid.net, *base_inputs, warm_start=op)
+                assert err.value.iterations == 0
 
     def test_singular_jacobian_reported(self):
         """At a bus left with no in-service line and no shunt, the Jacobian

@@ -32,8 +32,13 @@ from gridofo.ofo import default_config, ofo_update
 from gridofo.qp import MAX_ITER, QpSolution
 from gridofo.sensitivity import compute_sensitivity
 from gridofo.simulator import (
+    LINE_RECLOSE,
+    LINE_TRIP,
+    RECLOSE_BLOCKED,
+    SAMPLE_SKIPPED,
     DynamicSimulation,
     Event,
+    RunEvent,
     SimConfig,
     check_events,
     gap_statistics,
@@ -361,9 +366,9 @@ class TestEvents:
                   Event(time=2.0, kind="line_reclose", line_id="23-24")]
         traj = run_scenario(grid, events, None,
                             SimConfig(t_end=8.0, dt=5e-3, record_every=0.1))
-        msgs = [m for _, m in traj.events]
-        assert any("tripped" in m for m in msgs)
-        assert any("reclosed" in m for m in msgs)
+        kinds = [ev.kind for ev in traj.events]
+        assert LINE_TRIP in kinds
+        assert LINE_RECLOSE in kinds
         # after reclose the system relaxes back toward the initial gap
         assert abs(traj.vgap[-1] - traj.vgap[0]) < 0.2 * abs(
             traj.vgap[np.searchsorted(traj.t, 1.0)] - traj.vgap[0])
@@ -379,8 +384,8 @@ class TestEvents:
         ]
         traj = run_scenario(grid, events, None,
                             SimConfig(t_end=60.0, dt=5e-3, record_every=0.1))
-        blocked = [t for t, m in traj.events if "blocked" in m]
-        closed = [t for t, m in traj.events if "reclosed" in m]
+        blocked = [ev.t for ev in traj.events if ev.kind == RECLOSE_BLOCKED]
+        closed = [ev.t for ev in traj.events if ev.kind == LINE_RECLOSE]
         assert blocked and closed
         assert closed[0] > 2.0
 
@@ -389,7 +394,7 @@ class TestEvents:
         traj = run_scenario(
             grid, [Event(time=5.000000002, kind="line_trip", line_id="23-24")],
             None, SimConfig(t_end=5.0, dt=2.5, record_every=2.5))
-        assert traj.events == [(5.0, "line 23-24 tripped")]
+        assert traj.events == [RunEvent(5.0, LINE_TRIP, "line 23-24 tripped")]
 
     def test_samples_restart_at_each_activation(self, grid, monkeypatch):
         """The controller samples every 0.5 s from 1.0 s, and from 1.3 s on
@@ -455,11 +460,12 @@ class TestControllerUpdate:
         sim = DynamicSimulation(grid)
         u0 = sim.ofo_state.u.copy()
         S = compute_sensitivity(grid.net, base_solution)
-        with pytest.raises(OfoStepError):
+        with pytest.raises(OfoStepError) as exc:
             ofo_update(sim.ofo_cfg, sim.ofo_state, sim.measurement(0.0), S)
-        sim.controller_update(0.0)
+        skip = sim.controller_update(0.0)
         np.testing.assert_array_equal(sim.ofo_state.u, u0)
-        assert any("set-point update skipped" in m for _, m in sim.event_log)
+        assert skip == RunEvent(0.0, SAMPLE_SKIPPED,
+                                f"set-point update skipped: {exc.value}")
 
     def test_islanded_model_holds_input(self, grid):
         """Erasing 2-30 islands bus 30 in the controller's model: after a
@@ -467,11 +473,11 @@ class TestControllerUpdate:
         sim = DynamicSimulation(grid, sensitivity_topology="2-30")
         sim.set_line_status("23-24", False)
         u0 = sim.ofo_state.u.copy()
-        sim.controller_update(5.0)
+        skip = sim.controller_update(5.0)
         np.testing.assert_array_equal(sim.ofo_state.u, u0)
-        assert sim.event_log == [
-            (5.0, "sensitivity update skipped: grid islanded; "
-                  "disconnected buses: [30]")]
+        assert skip == RunEvent(5.0, SAMPLE_SKIPPED,
+                                "sensitivity update skipped: grid islanded; "
+                                "disconnected buses: [30]")
 
     @pytest.mark.parametrize("topology", [None, "2-30", "16-17"])
     def test_islanding_checked_once_per_topology(self, grid, monkeypatch,
@@ -484,11 +490,11 @@ class TestControllerUpdate:
         orig = NetworkModel.connected_components
         monkeypatch.setattr(NetworkModel, "connected_components",
                             lambda net: walks.append(net) or orig(net))
-        for t in (5.0, 10.0, 15.0):
-            sim.controller_update(t)
+        skips = [(t, ev.kind) for t in (5.0, 10.0, 15.0)
+                 if (ev := sim.controller_update(t)) is not None]
         assert walks == []
-        skips = [t for t, m in sim.event_log if "grid islanded" in m]
-        assert skips == ([5.0, 10.0, 15.0] if topology == "2-30" else [])
+        assert skips == ([(t, SAMPLE_SKIPPED) for t in (5.0, 10.0, 15.0)]
+                         if topology == "2-30" else [])
 
     def test_model_follows_plant_topology(self, grid):
         """The controller's model tracks trips and recloses of the plant,
