@@ -59,6 +59,16 @@ def _write_trajectory_csv(path, traj, n_gen: int):
         w.writerows([_num(x) for x in row] for row in rows)
 
 
+def _out_dir(path) -> Path:
+    """Create the --out directory; a path that cannot be one is an input error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise GridDataError(f"--out {out}: {exc.strerror}") from None
+    return out
+
+
 def cmd_powerflow(args) -> int:
     grid = load_grid(args.grid)
     net = grid.net
@@ -76,8 +86,7 @@ def cmd_simulate(args) -> int:
     grid = load_grid(args.grid)
     scen = load_scenario(args.scenario)
     ofo_cfg = default_config(grid.net, **scen.ofo)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     traj = run_scenario(grid, scen.events, ofo_cfg, scen.sim,
                         sensitivity_topology=args.sensitivity_topology)
@@ -113,8 +122,7 @@ def cmd_robustness(args) -> int:
     ofo_cfg = default_config(grid.net, **scen.ofo)
     # reject bad input here: a worker would report it as a failed member
     plan = sweep_plan(grid, scen.events, ofo_cfg, scen.sim)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     with ProcessPoolExecutor() as pool:
         results = dict(zip(plan.members, pool.map(

@@ -24,13 +24,11 @@ import numpy as np
 from .errors import GridDataError
 
 
-def _trapz_lag(x, u, coeffs):
-    """One trapezoidal step of x' = (u - x)/T with u frozen over the step.
-
-    `coeffs` is `_ParamSet.lag(T, dt)`: x+ = a*x + b*u.
-    """
-    a, b = coeffs
-    return a * x + b * u
+def _trapz_lag(x, u, T, dt):
+    """One trapezoidal step of x' = (u - x)/T with u frozen over the step:
+    x+ = a*x + b*u with k = dt/(2T), a = (1 - k)/(1 + k), b = 2k/(1 + k)."""
+    k = dt / (2.0 * T)
+    return (1.0 - k) / (1.0 + k) * x + 2.0 * k / (1.0 + k) * u
 
 
 def _clip(x, lo, hi):
@@ -128,20 +126,6 @@ class _ParamSet:
         self.n = len(self.params)
         for f in fields(self.cls):
             setattr(self, f.name, np.array([getattr(p, f.name) for p in self.params]))
-        self._lags: dict = {}
-
-    def lag(self, T: str, dt: float):
-        """Trapezoid coefficients (a, b) of the lag with time constant field T.
-
-        Computed once per (T, dt): x+ = a*x + b*u with k = dt/(2T),
-        a = (1 - k)/(1 + k) and b = 2k/(1 + k).
-        """
-        key = (T, dt)
-        coeffs = self._lags.get(key)
-        if coeffs is None:
-            k = dt / (2.0 * getattr(self, T))
-            coeffs = self._lags[key] = ((1.0 - k) / (1.0 + k), 2.0 * k / (1.0 + k))
-        return coeffs
 
 
 class GovernorSet(_ParamSet):
@@ -173,8 +157,8 @@ def governor_init(p, p_m0) -> GovernorState:
 
 def governor_step(p, s: GovernorState, delta_omega, p_m0, dt):
     u = p_m0 - delta_omega / p.R_g
-    x_valve = _clip(_trapz_lag(s.x_valve, u, p.lag("T_1", dt)), p.V_min, p.V_max)
-    x_turb = _trapz_lag(s.x_turb, x_valve, p.lag("T_3", dt))
+    x_valve = _clip(_trapz_lag(s.x_valve, u, p.T_1, dt), p.V_min, p.V_max)
+    x_turb = _trapz_lag(s.x_turb, x_valve, p.T_3, dt)
     out = _leadlag_out(x_turb, x_valve, p.T_2, p.T_3) - p.D_t * delta_omega
     return GovernorState(x_valve, x_turb), out
 
@@ -196,9 +180,9 @@ def exciter_init(p, E_f0) -> ExciterState:
 
 def exciter_step(p, s: ExciterState, delta_v, v_pss, E_f0, dt):
     u = E_f0 / p.K_ex + delta_v + v_pss
-    x_ll = _trapz_lag(s.x_ll, u, p.lag("T_b", dt))
+    x_ll = _trapz_lag(s.x_ll, u, p.T_b, dt)
     mid = _leadlag_out(x_ll, u, p.T_a, p.T_b)
-    x_out = _clip(_trapz_lag(s.x_out, p.K_ex * mid, p.lag("T_e", dt)), p.E_min, p.E_max)
+    x_out = _clip(_trapz_lag(s.x_out, p.K_ex * mid, p.T_e, dt), p.E_min, p.E_max)
     return ExciterState(x_ll, x_out), x_out
 
 
@@ -219,11 +203,11 @@ def pss_init(p, n: int) -> PssState:
 
 
 def pss_step(p, s: PssState, delta_omega, dt):
-    x_w = _trapz_lag(s.x_w, delta_omega, p.lag("T", dt))
+    x_w = _trapz_lag(s.x_w, delta_omega, p.T, dt)
     w_out = p.K_PSS * (delta_omega - x_w) / p.T
-    x_1 = _trapz_lag(s.x_1, w_out, p.lag("T_3", dt))
+    x_1 = _trapz_lag(s.x_1, w_out, p.T_3, dt)
     o_1 = _leadlag_out(x_1, w_out, p.T_1, p.T_3)
-    x_2 = _trapz_lag(s.x_2, o_1, p.lag("T_4", dt))
+    x_2 = _trapz_lag(s.x_2, o_1, p.T_4, dt)
     out = _clip(_leadlag_out(x_2, o_1, p.T_2, p.T_4), -p.H_lim, p.H_lim)
     return PssState(x_w, x_1, x_2), out
 
@@ -278,9 +262,9 @@ def stack_states(gov: GovernorState, pss: PssState, exc: ExciterState,
 class ControlKernel:
     """governor_step, pss_step, exciter_step and agc_step of a fleet, fused.
 
-    Built for one step size `dt`, from the same `_ParamSet.lag` coefficients
-    and the same helpers as the reference blocks. A step works on the vector
-    w = [v_pss, stacked state, delta_omega, delta_v, 1]:
+    Built for one step size `dt`, from the same helpers as the reference
+    blocks. A step works on the vector w = [v_pss, stacked state,
+    delta_omega, delta_v, 1]:
 
     1. one affine map gives the PSS output and the new valve, washout,
        lead-lag and AGC states; the valve is clipped to [V_min, V_max] and the
@@ -312,25 +296,24 @@ class ControlKernel:
         beta = np.asarray(agc.beta, dtype=float)
 
         # stage 1: w holds the previous step's states
-        x_valve = _trapz_lag(slot(X_VALVE), one * p_m0 - dw / gov.R_g,
-                             gov.lag("T_1", dt))
-        x_w = _trapz_lag(slot(X_W), dw, pss.lag("T", dt))
+        x_valve = _trapz_lag(slot(X_VALVE), one * p_m0 - dw / gov.R_g, gov.T_1, dt)
+        x_w = _trapz_lag(slot(X_W), dw, pss.T, dt)
         w_out = pss.K_PSS * (dw - x_w) / pss.T
-        x_1 = _trapz_lag(slot(X_1), w_out, pss.lag("T_3", dt))
+        x_1 = _trapz_lag(slot(X_1), w_out, pss.T_3, dt)
         o_1 = _leadlag_out(x_1, w_out, pss.T_1, pss.T_3)
-        x_2 = _trapz_lag(slot(X_2), o_1, pss.lag("T_4", dt))
+        x_2 = _trapz_lag(slot(X_2), o_1, pss.T_4, dt)
         v_pss = _leadlag_out(x_2, o_1, pss.T_2, pss.T_4)
         x_i = slot(X_I, 1) + dt * agc.K_i * (-agc.lam * avg_dw)
         self._A1 = np.hstack((v_pss, x_valve, x_w, x_1, x_2, x_i)).T.copy()
 
         # stage 2: the stage-1 slots of w now hold the clipped new values
         x_valve, v_pss, x_i = slot(X_VALVE), slot(V_PSS), slot(X_I, 1)
-        x_turb = _trapz_lag(slot(X_TURB), x_valve, gov.lag("T_3", dt))
+        x_turb = _trapz_lag(slot(X_TURB), x_valve, gov.T_3, dt)
         p_gov = _leadlag_out(x_turb, x_valve, gov.T_2, gov.T_3) - gov.D_t * dw
         u = one * (E_f0 / exc.K_ex) + dv + v_pss
-        x_ll = _trapz_lag(slot(X_LL), u, exc.lag("T_b", dt))
+        x_ll = _trapz_lag(slot(X_LL), u, exc.T_b, dt)
         mid = _leadlag_out(x_ll, u, exc.T_a, exc.T_b)
-        x_out = _trapz_lag(slot(X_OUT), exc.K_ex * mid, exc.lag("T_e", dt))
+        x_out = _trapz_lag(slot(X_OUT), exc.K_ex * mid, exc.T_e, dt)
         p_agc = beta * (agc.K_p * (-agc.lam * avg_dw) + x_i)
         self._A2 = np.hstack((x_turb, x_ll, x_out, p_gov + p_agc)).T.copy()
 

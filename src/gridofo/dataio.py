@@ -8,6 +8,7 @@ control blocks by position."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -47,9 +48,17 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 
 def _load_json(path) -> dict:
+    """Parse a JSON file, refusing NaN, +-Infinity and overflowing floats (1e999)."""
+    def refuse(text):
+        raise GridDataError(f"{path}: non-finite number {text}")
+
+    def finite(text):
+        x = float(text)
+        return x if math.isfinite(x) else refuse(text)
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise GridDataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except OSError as exc:

@@ -116,6 +116,8 @@ class NetworkModel:
         a, b = self.monitored_pair
         if a not in idset or b not in idset:
             raise GridDataError("monitored_pair references unknown bus")
+        if not (np.isfinite(self.frequency) and self.frequency > 0):
+            raise GridDataError("frequency must be finite and > 0")
 
     # -- index helpers -------------------------------------------------------
 

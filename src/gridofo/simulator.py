@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import machines as mc
 from .controls import (
@@ -279,12 +278,10 @@ class DynamicSimulation:
         Y[self.gen_idx, self.gen_idx] += self.y_int
         B = np.zeros((net_now.n_bus, net_now.n_gen), dtype=complex)
         B[self.gen_idx, np.arange(net_now.n_gen)] = self.y_int
-        # one single-RHS solve per column: a multi-RHS lu_solve wakes
-        # OpenBLAS' helper thread, which then spins in every pool worker;
-        # W itself is checked for finiteness below
-        lu = lu_factor(Y)
-        W = np.column_stack([lu_solve(lu, B[:, j], check_finite=False)
-                             for j in range(net_now.n_gen)])
+        try:
+            W = np.linalg.solve(Y, B)
+        except np.linalg.LinAlgError as exc:
+            raise NetworkSolveError(f"network solve failed: {exc}") from None
         resid = np.linalg.norm(Y @ W - B) / np.linalg.norm(B)
         if not (np.isfinite(W).all() and resid <= _SOLVE_RTOL):
             raise NetworkSolveError(

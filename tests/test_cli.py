@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,12 +11,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gridofo
 from gridofo.cli import EXIT_INPUT, EXIT_OK, main
 from gridofo.dataio import bundled_path, load_scenario
 from gridofo.ofo import default_config
 from gridofo.simulator import gap_statistics, sweep_plan
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _reclose(**guard):
@@ -80,6 +84,13 @@ BAD_GRIDS = {
     "repeated_machine": lambda doc: doc["machines"].append(doc["machines"][0]),
     "unused_machine": lambda doc: doc["machines"].append(
         dict(doc["machines"][0], name="G99")),
+    "zero_frequency": lambda doc: doc.update(frequency=0),
+    # non-finite numbers are refused as the file is parsed
+    "nan_machine_D": lambda doc: doc["machines"][0].update(D=NAN),
+    "inf_machine_H": lambda doc: doc["machines"][0].update(H=INF),
+    "nan_governor_R_g": lambda doc: doc["governors"][0].update(R_g=NAN),
+    "nan_line_r": lambda doc: doc["lines"][0].update(r=NAN),
+    "inf_shunt_b": lambda doc: doc["buses"][0].update(shunt_b=INF),
 }
 
 
@@ -107,6 +118,30 @@ def short_scenario(tmp_path, t_end=12.0, with_reclose=False):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_cli_imports_no_scipy():
+    """numpy is the only runtime dependency. A fresh interpreter is needed:
+    this test process has imported scipy for the control-block oracle."""
+    src = str(Path(gridofo.__file__).resolve().parents[1])
+    code = ("import sys; import gridofo.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "robustness"])
+def test_out_not_a_directory_is_input_error(tmp_path, capsys, command):
+    """An --out that is a file, or lies under one, exits 1 naming the path."""
+    scen = short_scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        code = main([command, "--scenario", scen, "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert f"input error: --out {out}" in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 class TestPowerflow:

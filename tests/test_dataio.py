@@ -1,6 +1,7 @@
 """Grid and scenario file loading."""
 
 import json
+import re
 
 import pytest
 
@@ -24,6 +25,14 @@ class TestGridLoading:
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  \"buses\": [\n")
         with pytest.raises(GridDataError, match="line"):
+            load_grid(bad)
+
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_number_named(self, tmp_path, number):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"buses": [{{"id": 1, "load_p": {number}}}]}}')
+        message = f"{bad}: non-finite number {number}"
+        with pytest.raises(GridDataError, match=re.escape(message)):
             load_grid(bad)
 
     def test_missing_field_named(self, tmp_path):

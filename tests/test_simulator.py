@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
 
 from gridofo import machines as mc
 from gridofo.controls import (
@@ -107,12 +106,20 @@ class TestInitialization:
             DynamicSimulation(grid, sensitivity_topology="1-99")
 
     @pytest.mark.parametrize("bad_solve", [
-        lambda lu, b, **kw: np.full_like(b, np.nan),
-        lambda lu, b, **kw: 1.001 * lu_solve(lu, b),
-    ], ids=["nan", "inaccurate"])
+        lambda solve, a, b: np.full_like(b, np.nan),
+        lambda solve, a, b: 1.001 * solve(a, b),
+        lambda solve, a, b: solve(np.zeros_like(a), b),
+    ], ids=["nan", "inaccurate", "singular"])
     def test_network_solve_checked(self, grid, monkeypatch, bad_solve):
-        """A non-finite or inaccurate reduction is a numerical failure (exit 2)."""
-        monkeypatch.setattr("gridofo.simulator.lu_solve", bad_solve)
+        """A non-finite, inaccurate or failed reduction is a numerical failure
+        (exit 2). During construction only the reduction solves for a matrix
+        right-hand side; the power flow's solves are left alone."""
+        solve = np.linalg.solve
+
+        def patched(a, b):
+            return bad_solve(solve, a, b) if np.ndim(b) == 2 else solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", patched)
         with pytest.raises(NetworkSolveError):
             DynamicSimulation(grid)
         assert not issubclass(NetworkSolveError, GridDataError)
