@@ -36,9 +36,21 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 
 
+_NUM = "{:.12g}"  # the one number format of every CSV file
+
+
 def _num(x: float) -> str:
-    """Deterministic float formatting shared by every CSV writer."""
-    return f"{x:.12g}"
+    return _NUM.format(x)
+
+
+def _write_table(path, header, columns):
+    """A CSV file of a header and one row of `_NUM` numbers per row of the
+    stacked columns, byte for byte as csv.writer writes it."""
+    rows = np.column_stack(columns)
+    row = ",".join([_NUM] * rows.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(row.format(*r) for r in rows.tolist())
 
 
 def _write_trajectory_csv(path, traj, n_gen: int):
@@ -51,12 +63,8 @@ def _write_trajectory_csv(path, traj, n_gen: int):
               + [f"pOFO_{j}" for j in range(1, n_gen + 1)]
               + [f"vOFO_{j}" for j in range(1, n_gen + 1)]
               + [f"pm_{j}" for j in range(1, n_gen + 1)])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        rows = np.column_stack((traj.t, traj.vgap, traj.v, traj.dtheta, traj.flows,
+    _write_table(path, header, (traj.t, traj.vgap, traj.v, traj.dtheta, traj.flows,
                                 traj.p_ofo, traj.v_ofo, traj.p_m))
-        w.writerows([_num(x) for x in row] for row in rows)
 
 
 def _out_dir(path) -> Path:
@@ -156,11 +164,9 @@ def cmd_robustness(args) -> int:
                     "iterations_to_halve", "stability"])
         w.writerows(rows)
 
-    with open(out / "sweep_gaps.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "nominal"] + [f"gap_{i}" for i in gap_by_line])
-        gaps = np.column_stack((t, nominal, *gap_by_line.values()))
-        w.writerows([_num(x) for x in row] for row in gaps)
+    _write_table(out / "sweep_gaps.csv",
+                 ["t", "nominal"] + [f"gap_{i}" for i in gap_by_line],
+                 (t, nominal, *gap_by_line.values()))
 
     sweep_chart(t, gap_by_line, nominal).write(out / "sweep.svg")
     n_ok = len(gap_by_line)

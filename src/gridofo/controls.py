@@ -8,10 +8,11 @@ does not wind up while the output saturates.
 The simulator advances all four blocks of a fleet with one `ControlKernel`,
 built once per step size: between the limiters every block is affine, so a
 step is two precomputed affine maps of one stacked state vector, each
-followed by its clamps. The step functions below are the readable reference
-the kernel is tested against. They are pure: they take a state, return
-(new_state, output), and broadcast over machine fleets when the parameters
-are arrays.
+followed by its clamps. The kernel keeps that state in place, in one work
+vector whose input slots the caller fills before each step. The step
+functions below are the readable reference the kernel is tested against.
+They are pure: they take a state, return (new_state, output), and broadcast
+over machine fleets when the parameters are arrays.
 """
 
 from __future__ import annotations
@@ -263,8 +264,11 @@ class ControlKernel:
     """governor_step, pss_step, exciter_step and agc_step of a fleet, fused.
 
     Built for one step size `dt`, from the same helpers as the reference
-    blocks. A step works on the vector w = [v_pss, stacked state,
-    delta_omega, delta_v, 1]:
+    blocks, and from the stacked state `state` (see stack_states), which it
+    copies. The kernel owns one work vector w = [v_pss, stacked state,
+    delta_omega, delta_v, 1]; `state`, `delta_omega` and `delta_v` are views
+    of its slots. The caller writes a step's inputs into `delta_omega` and
+    `delta_v`, then `step` advances `state` in place:
 
     1. one affine map gives the PSS output and the new valve, washout,
        lead-lag and AGC states; the valve is clipped to [V_min, V_max] and the
@@ -275,7 +279,7 @@ class ControlKernel:
     """
 
     def __init__(self, gov: GovernorSet, pss: PssSet, exc: ExciterSet,
-                 agc: AgcParams, weights, p_m0, E_f0, dt: float):
+                 agc: AgcParams, weights, p_m0, E_f0, dt: float, state):
         if not (np.isfinite(dt) and dt > 0):
             raise GridDataError(f"control kernel: dt must be finite and > 0, got {dt!r}")
         self.dt = dt
@@ -320,22 +324,32 @@ class ControlKernel:
         self._lo1 = np.concatenate((-pss.H_lim, gov.V_min))
         self._hi1 = np.concatenate((pss.H_lim, gov.V_max))
         self._lo2, self._hi2 = exc.E_min, exc.E_max
-        self._v_pss0 = np.zeros(n)  # the v_pss slot, written by stage 1
-        self._one = np.ones(1)
 
-    def step(self, s: np.ndarray, delta_omega, delta_v):
-        """Advance the stacked state `s` (see stack_states) by one step.
+        w = self._w = np.zeros(ONE + 1)
+        w[ONE] = 1.0
+        self.state = w[X_VALVE:DW]
+        self.state[:] = state
+        self.delta_omega = w[DW:DV]
+        self.delta_v = w[DV:ONE]
+        # each map's product, and the slots of w it is copied back to
+        self._y1, self._w1 = np.empty(X_TURB), w[:X_TURB]
+        self._lim1 = self._y1[:X_VALVE + n]
+        y2 = self._y2 = np.empty(4 * n)  # [x_turb, x_ll, x_out, p_gov + p_agc]
+        self._y2_states, self._w2 = y2[:3 * n], w[X_TURB:DW]
+        self._e_f, self._p = y2[2 * n:3 * n], y2[3 * n:]
 
-        Returns (new state, p_gov + p_agc, E_f), the inputs frozen over the
-        step as in the reference blocks.
+    def step(self):
+        """Advance `state` by one step, the inputs in `delta_omega` and
+        `delta_v` frozen over the step as in the reference blocks.
+
+        Returns (p_gov + p_agc, E_f), views of a buffer the next step
+        overwrites.
         """
-        n = self.n
-        w = np.concatenate((self._v_pss0, s, delta_omega, delta_v, self._one))
-        w[:5 * n + 1] = np.dot(self._A1, w)
-        lim = w[:2 * n]
+        w, lim, e_f = self._w, self._lim1, self._e_f
+        np.dot(self._A1, w, out=self._y1)
         np.minimum(np.maximum(lim, self._lo1, out=lim), self._hi1, out=lim)
-        y = np.dot(self._A2, w)
-        e_f = y[2 * n:3 * n]
+        self._w1[:] = self._y1
+        np.dot(self._A2, w, out=self._y2)
         np.minimum(np.maximum(e_f, self._lo2, out=e_f), self._hi2, out=e_f)
-        w[5 * n + 1:8 * n + 1] = y[:3 * n]
-        return w[n:8 * n + 1], y[3 * n:], e_f
+        self._w2[:] = self._y2_states
+        return self._p, e_f

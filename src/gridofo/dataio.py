@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -47,8 +48,14 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+# the largest integer a float holds, and its digit count
+_MAX_INT = int(sys.float_info.max)
+_MAX_INT_DIGITS = len(str(_MAX_INT))
+
+
 def _load_json(path) -> dict:
-    """Parse a JSON file, refusing NaN, +-Infinity and overflowing floats (1e999)."""
+    """Parse a JSON file, refusing NaN, +-Infinity, overflowing floats (1e999)
+    and integers beyond the largest float."""
     def refuse(text):
         raise GridDataError(f"{path}: non-finite number {text}")
 
@@ -56,9 +63,19 @@ def _load_json(path) -> dict:
         x = float(text)
         return x if math.isfinite(x) else refuse(text)
 
+    def integer(text):
+        # the length first: int() of a huge literal is slow or refused
+        digits = len(text) - text.startswith("-")
+        if digits > _MAX_INT_DIGITS or (digits == _MAX_INT_DIGITS
+                                        and abs(int(text)) > _MAX_INT):
+            raise GridDataError(f"{path}: integer of {digits} digits is beyond "
+                                "the largest float")
+        return int(text)
+
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=refuse, parse_float=finite)
+            return json.load(fh, parse_constant=refuse, parse_float=finite,
+                             parse_int=integer)
     except json.JSONDecodeError as exc:
         raise GridDataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except OSError as exc:

@@ -160,8 +160,9 @@ class LineChart:
 
         for x, y, label, color in self.series:
             ok = np.isfinite(y)
-            pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}"
-                           for a, b in zip(x[ok], y[ok]))
+            # sx and sy on the arrays: the same operations, in the same order
+            pts = " ".join(map("{:.2f},{:.2f}".format,
+                               sx(x[ok]).tolist(), sy(y[ok]).tolist()))
             out.append(f'<polyline points="{pts}" fill="none" '
                        f'stroke="{color}" stroke-width="1.5"/>')
 

@@ -11,15 +11,26 @@ and measurement instants. An RK4 stage is a short fixed sequence of numpy
 calls on buffers allocated once: one `cos` for the rotor rotations, one
 product with [Y; Z] in real form, and one product of the stage vector with
 `machines.affine_rhs`'s matrix, whose current and torque columns take the dq
-currents and the air-gap power as pairs of products. Control blocks advance
-once per step, before the RK4 stages, with their inputs frozen over the
-step: one precomputed control kernel per step size
-(`controls.ControlKernel`) advances the governors, PSSs, exciters and AGC
-together, from the rotor speeds and the generator-bus voltages of the first
-stage. Every scenario time and controller sample is resolved to a step of
-`dt`, or refused, before a run starts; the event engine then applies, by step
-index, line trips, recloses (a guarded one waits until the breaker angle is
-under its guard), controller activation and direct set-point overrides. The
+currents and the air-gap power as pairs of products. `step` and the
+derivative oracle `_derivs` share this stage code.
+
+A step runs from a plan built at the first step with each step size: a
+control kernel (`controls.ControlKernel`), which advances the governors,
+PSSs, exciters and AGC together in its own work vector, and the stage matrix
+scaled by each RK4 stage step h = dt/2, dt/2, dt, dt, so a stage's
+increment h k is one product and the next stage's state one sum. Control
+blocks advance once per step, before the RK4 stages, with their inputs
+frozen over the step: the rotor speeds and generator-bus voltages of the
+first stage are written straight into the kernel's input slots, and the
+simulator's control state is a view of the kernel's, carried over to the
+next plan when the step size changes. Every rotor speed is checked in every
+stage and the new state once per step; apart from those, a step allocates
+only its new state, p_m and E_f.
+
+Every scenario time and controller sample is resolved to a step of `dt`, or
+refused, before a run starts; the event engine then applies, by step index,
+line trips, recloses (a guarded one waits until the breaker angle is under
+its guard), controller activation and direct set-point overrides. The
 controller's model topology and its islanded buses are settled with each
 plant topology; a controller sample passes its measured bus loads to the
 model power flow.
@@ -86,7 +97,10 @@ _SOLVE_RTOL = 1e-8
 # cos(delta + offset) of a stage: [sin, cos] and [cos, -sin] of delta per
 # machine; the second pair, read as a complex number, is exp(-j delta)
 _TRIG_OFFSETS = np.array([[[-np.pi / 2, 0.0]], [[0.0, np.pi / 2]]])
-_RK4 = np.array([1.0, 2.0, 2.0, 1.0])
+# RK4 stage steps, in dt, and the weights of the stage increments h_i k_i
+# they give in the step's sum
+_RK4_STAGES = np.array([0.5, 0.5, 1.0, 1.0])
+_RK4_WEIGHTS = np.array([1 / 3, 2 / 3, 1 / 3, 1 / 6])
 
 
 def _real_form(C: np.ndarray) -> np.ndarray:
@@ -325,49 +339,64 @@ class DynamicSimulation:
         # and p_e = Re(conj(e) conj(g)), each the sum of a pair of products
         np.multiply(self._trig, self._g_pairs, out=self._z_prod)
 
-    def _rhs(self, out: np.ndarray):
-        """Machine right-hand side of the stage state, into `out`; the
+    def _rhs(self, A: np.ndarray, out: np.ndarray):
+        """Machine right-hand side of the stage state, times the stage step
+        that `A` (the stage matrix, scaled by it) carries, into `out`; the
         currents are `_currents`' and E_f is in `_z` already."""
         omega = np.add(self._z_domega, 1.0, out=self._omega)
-        if not omega.min() > 0:  # also trips on NaN
+        if not np.minimum.reduce(omega) > 0:  # also trips on NaN
             raise SimulationBlowupError("rotor speed reached zero or is not finite")
         np.divide(self.p_m, omega, out=self._z_torque)
-        np.dot(self._A, self._z, out=out)
+        np.dot(A, self._z, out=out)
 
     def _derivs(self, x: np.ndarray) -> np.ndarray:
         """machine_derivatives of the fleet at state x, by the stage code."""
         np.copyto(self._zx2, x)
         self._z_ef[:] = self.E_f
         self._currents()
-        self._rhs(self._K[0])
+        self._rhs(self._A, self._K[0])
         return self._K[0].reshape(x.shape).copy()
 
     # -- time stepping -------------------------------------------------------
+
+    def _plan(self, dt: float) -> ControlKernel:
+        """The step plan for `dt`: a control kernel that carries the control
+        state over, and the stage matrix scaled by each RK4 stage step.
+        An invalid `dt` raises GridDataError here, before anything changes."""
+        g = self.grid
+        kernel = ControlKernel(g.governors, g.pss, g.exciters, g.agc, self._freq_w,
+                               self.p_m0, self.E_f0, dt, self._ctrl)
+        self._stage_A = (dt * _RK4_STAGES)[:, None, None] * self._A
+        self._kernel = kernel
+        self._ctrl = kernel.state
+        return kernel
 
     def step(self, dt: float) -> None:
         """Advance one step."""
         kernel = self._kernel
         if kernel is None or kernel.dt != dt:
-            g = self.grid
-            kernel = self._kernel = ControlKernel(
-                g.governors, g.pss, g.exciters, g.agc, self._freq_w,
-                self.p_m0, self.E_f0, dt)
-        x, zx, K = self.x, self._zx, self._K
+            kernel = self._plan(dt)
+        x, zx, K, A = self.x, self._zx, self._K, self._stage_A
         np.copyto(self._zx2, x)
         self._currents()
-        delta_v = self.ofo_state.v_ofo - np.abs(self._vg)
-        self._ctrl, p_ctrl, self.E_f = kernel.step(self._ctrl, x[:, mc.OMEGA], delta_v)
+        np.copyto(kernel.delta_omega, self._z_domega)
+        delta_v = np.abs(self._vg, out=kernel.delta_v)
+        np.subtract(self.ofo_state.v_ofo, delta_v, out=delta_v)
+        p_ctrl, E_f = kernel.step()
         self.p_m = p_ctrl + self.ofo_state.p_ofo
-        self._z_ef[:] = self.E_f
-        self._rhs(K[0])
+        self.E_f = E_f.copy()
+        self._z_ef[:] = E_f
+        # K[i] holds the increment h_i k_i of stage i
+        self._rhs(A[0], K[0])
         x_flat = x.reshape(-1)
-        for i, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
-            np.multiply(K[i], h, out=zx)
-            np.add(zx, x_flat, out=zx)
+        for i in range(3):
+            np.add(x_flat, K[i], out=zx)
             self._currents()
-            self._rhs(K[i + 1])
-        x_new = x + (dt / 6.0) * np.dot(_RK4, K).reshape(x.shape)
-        if not np.abs(x_new).max() <= _BLOWUP_LIMIT:  # also trips on NaN
+            self._rhs(A[i + 1], K[i + 1])
+        x_new = np.dot(_RK4_WEIGHTS, K).reshape(x.shape)
+        np.add(x_new, x, out=x_new)
+        if not (np.maximum.reduce(x_new, axis=None) <= _BLOWUP_LIMIT  # also trips on NaN
+                and np.minimum.reduce(x_new, axis=None) >= -_BLOWUP_LIMIT):
             raise SimulationBlowupError("dynamic state exceeded blowup limit")
         self.x = x_new
 

@@ -73,6 +73,10 @@ def _set_machine(i, name):
 
 
 # grid edits that must be refused by load_grid
+# json.dumps refuses an int of over 4300 digits, so a grid file gets this
+# 5000-digit literal where a value is LONG_INT
+LONG_INT = "<5000-digit integer>"
+
 BAD_GRIDS = {
     "text_frequency": lambda doc: doc.update(frequency="x"),
     "text_base_mva": lambda doc: doc.update(base_mva="x"),
@@ -91,6 +95,9 @@ BAD_GRIDS = {
     "nan_governor_R_g": lambda doc: doc["governors"][0].update(R_g=NAN),
     "nan_line_r": lambda doc: doc["lines"][0].update(r=NAN),
     "inf_shunt_b": lambda doc: doc["buses"][0].update(shunt_b=INF),
+    # so are integers beyond the largest float, and ones too long for int()
+    "huge_int_machine_H": lambda doc: doc["machines"][0].update(H=10 ** 400),
+    "longest_int_machine_H": lambda doc: doc["machines"][0].update(H=LONG_INT),
 }
 
 
@@ -162,7 +169,7 @@ class TestPowerflow:
         doc = json.loads(bundled_path("ieee39.json").read_text())
         BAD_GRIDS[case](doc)
         bad = tmp_path / "grid.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc).replace(f'"{LONG_INT}"', "1" + "0" * 4999))
         assert main(["powerflow", "--grid", str(bad)]) == EXIT_INPUT
         assert "input error" in capsys.readouterr().err
 

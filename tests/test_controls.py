@@ -249,9 +249,10 @@ class ReferenceBlocks:
         self.agc = AgcState()
 
     def kernel(self, dt):
+        """A kernel for `dt`, from the blocks' current state."""
         g = self.grid
         return ControlKernel(g.governors, g.pss, g.exciters, g.agc,
-                             self.weights, self.p_m0, self.E_f0, dt)
+                             self.weights, self.p_m0, self.E_f0, dt, self.state())
 
     def state(self):
         return stack_states(self.gov, self.pss, self.exc, self.agc)
@@ -267,6 +268,15 @@ class ReferenceBlocks:
                                    average_frequency(dw, self.weights), dt)
         self.v_pss = v_pss
         return p_gov + p_agc, E_f
+
+
+def kernel_step(kernel, dw, delta_v):
+    """One in-place kernel step from inputs written into its slots; returns
+    (state, p_gov + p_agc, E_f) as copies."""
+    kernel.delta_omega[:] = dw
+    kernel.delta_v[:] = delta_v
+    p_ctrl, E_f = kernel.step()
+    return kernel.state.copy(), p_ctrl.copy(), E_f.copy()
 
 
 def assert_close(got, want, rtol):
@@ -288,7 +298,6 @@ class TestControlKernel:
         ref = ReferenceBlocks(grid, sim.p_m0, sim.E_f0)
         dt = 5e-3
         kernel = ref.kernel(dt)
-        s = ref.state()
         actions = {100: lambda: sim.set_line_status(line, False),
                    200: lambda: sim.controller_update(1.0),
                    400: lambda: sim.controller_update(2.0),
@@ -299,7 +308,7 @@ class TestControlKernel:
                 actions[k]()
             dw = sim.x[:, mc.OMEGA].copy()
             delta_v = sim.ofo_state.v_ofo - np.abs(sim.bus_voltages()[sim.gen_idx])
-            s, p_ctrl, E_f = kernel.step(s, dw, delta_v)
+            s, p_ctrl, E_f = kernel_step(kernel, dw, delta_v)
             want = ref.step(dw, delta_v, dt)
             assert_close((s, p_ctrl, E_f), (ref.state(),) + want, 1e-12)
             moved = max(moved, float(np.max(np.abs(E_f - sim.E_f0))))
@@ -329,32 +338,37 @@ class TestControlKernel:
                               np.linspace(1.5, 3.0, n))
         dt = 5e-3
         kernel = ref.kernel(dt)
-        s = ref.state()
         bound = []
         for k in range(400):
             sign = 1.0 if k < 200 else -0.2
             dw_k, dv_k = np.full(n, sign * dw), np.full(n, sign * delta_v)
-            s, p_ctrl, E_f = kernel.step(s, dw_k, dv_k)
+            s, p_ctrl, E_f = kernel_step(kernel, dw_k, dv_k)
             want = ref.step(dw_k, dv_k, dt)
             assert_close((s, p_ctrl, E_f), (ref.state(),) + want, 1e-12)
             bound.append(bool(np.all(at_limit(ref))))
         assert any(bound[:200]) and not bound[-1]
 
     def test_rebuilt_for_new_dt(self, grid):
-        """A step with another dt builds a new kernel; the simulator's control
-        state then matches the blocks stepped with both step sizes."""
+        """A step with another dt builds a new kernel, which carries the
+        control state over; the simulator's control state, a view of the
+        kernel's, then matches the blocks stepped with both step sizes."""
         sim = DynamicSimulation(grid)
         ref = ReferenceBlocks(grid, sim.p_m0, sim.E_f0)
         sim.set_line_status("23-24", False)
-        kernels = []
+        kernels, states = [], []
         for dt in (5e-3, 5e-3, 2e-3, 2e-3):
             dw = sim.x[:, mc.OMEGA].copy()
             delta_v = sim.ofo_state.v_ofo - np.abs(sim.bus_voltages()[sim.gen_idx])
             want = ref.step(dw, delta_v, dt)
             sim.step(dt)
             kernels.append(sim._kernel)
+            states.append(sim._ctrl.copy())
             assert sim._kernel.dt == dt
+            assert sim._ctrl is sim._kernel.state
             assert_close((sim._ctrl, sim.p_m - sim.ofo_state.p_ofo, sim.E_f),
                          (ref.state(),) + want, 1e-12)
         assert kernels[0] is kernels[1] and kernels[2] is kernels[3]
         assert kernels[1] is not kernels[2]
+        # the new kernel copied the old one's last state and left it as it was
+        np.testing.assert_array_equal(kernels[1].state, states[1])
+        assert not np.shares_memory(kernels[1].state, kernels[2].state)

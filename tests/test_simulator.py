@@ -417,6 +417,23 @@ class TestEvents:
                      SimConfig(t_end=3.0, dt=0.01, record_every=0.1))
         np.testing.assert_allclose(times, [1.0, 1.3, 1.8, 2.3, 2.8])
 
+    def test_one_step_per_step_and_one_update_per_sample(self, grid, monkeypatch):
+        """run_scenario calls DynamicSimulation.step once per time step and
+        controller_update once per sample, looked up on the class."""
+        calls = {"step": 0, "controller_update": 0}
+        for name in calls:
+            orig = getattr(DynamicSimulation, name)
+
+            def counted(sim, *args, _name=name, _orig=orig):
+                calls[_name] += 1
+                return _orig(sim, *args)
+            monkeypatch.setattr(DynamicSimulation, name, counted)
+        events = [Event(time=0.3, kind="line_trip", line_id="23-24"),
+                  Event(time=1.0, kind="activate_ofo")]
+        run_scenario(grid, events, default_config(grid.net, sampling_period=0.5),
+                     SimConfig(t_end=3.0, dt=0.01, record_every=0.1))
+        assert calls == {"step": 300, "controller_update": 5}
+
     def test_set_input_override(self, grid):
         n_gen = grid.net.n_gen
         u = np.concatenate([np.full(n_gen, 0.1),
