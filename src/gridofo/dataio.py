@@ -64,7 +64,10 @@ def _load_json(path) -> dict:
         return x if math.isfinite(x) else refuse(text)
 
     def integer(text):
-        # the length first: int() of a huge literal is slow or refused
+        # the length first: int() of a huge literal is slow or refused, and
+        # one of fewer characters than the largest float's digits fits
+        if len(text) < _MAX_INT_DIGITS:
+            return int(text)
         digits = len(text) - text.startswith("-")
         if digits > _MAX_INT_DIGITS or (digits == _MAX_INT_DIGITS
                                         and abs(int(text)) > _MAX_INT):
@@ -114,6 +117,11 @@ def load_grid(path) -> GridData:
 
     if not len(set(machines.names)) == net.n_gen == len(params):
         raise GridDataError(f"{path}: one machine per generator required, each named once")
+    for m in params:
+        # the stator solve and the network's Norton admittance use X_d'' on
+        # both axes
+        if m.X_q_pp != m.X_d_pp:
+            raise GridDataError(f"{path}: machine {m.name}: X_q'' must equal X_d''")
     for name, block in (("governors", governors), ("exciters", exciters), ("pss", pss)):
         if block.n != net.n_gen:
             raise GridDataError(f"{path}: {name} must have one entry per generator")

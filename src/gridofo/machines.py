@@ -10,6 +10,11 @@ q-components. With this choice the stator current of a machine, as a network
 phasor, is ``y_int * (internal_emf(state) - v_bus)`` with
 ``y_int = 1 / (R + 1j*X_d'')``, so the network sees the machine as a Norton
 source ``y_int * internal_emf(state)`` behind the admittance ``y_int``.
+
+The six ODE rows are written once, in `linear_rhs`, which is linear in the
+state, the stator currents, the torque p_m / omega - p_e, omega and E_f.
+`derivatives_given_currents` checks the speed and forms the torque; the
+simulator's stage matrix is `linear_rhs` evaluated at unit inputs.
 """
 
 from __future__ import annotations
@@ -131,10 +136,21 @@ def derivatives_given_currents(p, state, p_m, E_f, i_d, i_q, omega_base: float):
     omega = 1.0 + state[..., OMEGA]
     if not np.all(omega > 0):
         raise SimulationBlowupError("rotor speed reached zero or is not finite")
-    p_e = electrical_power(state, i_d, i_q)
+    torque = p_m / omega - electrical_power(state, i_d, i_q)
+    return linear_rhs(p, state, i_d, i_q, torque, omega, E_f, omega_base)
 
+
+def linear_rhs(p, state, i_d, i_q, torque, omega, E_f, omega_base: float):
+    """The six machine ODEs, given the stator currents, the accelerating
+    torque p_m / omega - p_e and the speed omega = 1 + delta_omega.
+
+    Jointly linear in state, i_d, i_q, torque, omega and E_f, so that
+    evaluating it at unit inputs gives its coefficients
+    (`simulator._stage_matrix`).
+    """
+    state = np.asarray(state)
     d = np.empty_like(state)
-    d[..., OMEGA] = (p_m / omega - p_e - p.D * omega) / (2.0 * p.H)
+    d[..., OMEGA] = (torque - p.D * omega) / (2.0 * p.H)
     d[..., DELTA] = omega_base * state[..., OMEGA]
     d[..., EQ_P] = (E_f - state[..., EQ_P] - i_d * (p.X_d - p.X_d_p)) / p.T_d0_p
     d[..., ED_P] = (-state[..., ED_P] + i_q * (p.X_q - p.X_q_p)) / p.T_q0_p
@@ -143,50 +159,6 @@ def derivatives_given_currents(p, state, p_m, E_f, i_d, i_q, omega_base: float):
     d[..., ED_PP] = (state[..., ED_P] - state[..., ED_PP]
                      + i_q * (p.X_q_p - p.X_q_pp)) / p.T_q0_pp
     return d
-
-
-# input blocks of the affine right-hand side, after the 6n states
-I_D, I_Q, TORQUE, E_F = range(4)
-
-
-def affine_rhs(p, omega_base: float):
-    """The six machine ODEs of a fleet as one affine map (A, c).
-
-    With z = [x.ravel(), i_d, i_q, p_m/omega - p_e, E_f] for the fleet state
-    x (n x 6), every row of machine_derivatives is linear in z:
-    machine_derivatives(...) == (A @ z + c).reshape(n, 6). A is 6n x 10n.
-    """
-    n = len(p.H)
-    two_h = 2.0 * p.H
-    ax = np.zeros((n, N_STATES, N_STATES))  # per machine: rows by state
-    au = np.zeros((n, N_STATES, 4))         # per machine: rows by input block
-    ax[:, OMEGA, OMEGA] = -p.D / two_h
-    au[:, OMEGA, TORQUE] = 1.0 / two_h
-    ax[:, DELTA, OMEGA] = omega_base
-    ax[:, EQ_P, EQ_P] = -1.0 / p.T_d0_p
-    au[:, EQ_P, I_D] = -(p.X_d - p.X_d_p) / p.T_d0_p
-    au[:, EQ_P, E_F] = 1.0 / p.T_d0_p
-    ax[:, ED_P, ED_P] = -1.0 / p.T_q0_p
-    au[:, ED_P, I_Q] = (p.X_q - p.X_q_p) / p.T_q0_p
-    ax[:, EQ_PP, EQ_P] = 1.0 / p.T_d0_pp
-    ax[:, EQ_PP, EQ_PP] = -1.0 / p.T_d0_pp
-    au[:, EQ_PP, I_D] = -(p.X_d_p - p.X_d_pp) / p.T_d0_pp
-    ax[:, ED_PP, ED_P] = 1.0 / p.T_q0_pp
-    ax[:, ED_PP, ED_PP] = -1.0 / p.T_q0_pp
-    au[:, ED_PP, I_Q] = (p.X_q_p - p.X_q_pp) / p.T_q0_pp
-    c = np.zeros((n, N_STATES))
-    c[:, OMEGA] = -p.D / two_h  # the D*omega term at omega = 1
-
-    # scatter the blocks: state columns are machine-major like x.ravel(),
-    # input columns block-major like the concatenated input vectors
-    m = np.arange(n)
-    A_x = np.zeros((n, N_STATES, n, N_STATES))
-    A_x[m, :, m, :] = ax
-    A_u = np.zeros((n, N_STATES, 4, n))
-    A_u[m, :, :, m] = au
-    A = np.hstack((A_x.reshape(N_STATES * n, N_STATES * n),
-                   A_u.reshape(N_STATES * n, 4 * n)))
-    return A, c.ravel()
 
 
 def init_from_power_flow(p, v_terminal, s_terminal, omega_base: float = 2 * np.pi * 60):

@@ -10,9 +10,10 @@ The full bus voltages, one n_bus x n_gen product, are formed only at record
 and measurement instants. An RK4 stage is a short fixed sequence of numpy
 calls on buffers allocated once: one `cos` for the rotor rotations, one
 product with [Y; Z] in real form, and one product of the stage vector with
-`machines.affine_rhs`'s matrix, whose current and torque columns take the dq
-currents and the air-gap power as pairs of products. `step` and the
-derivative oracle `_derivs` share this stage code.
+the stage matrix, `machines.linear_rhs` evaluated at unit inputs, whose
+current and torque columns take the dq currents and the air-gap power as
+pairs of products. `step` and the derivative oracle `_derivs` share this
+stage code.
 
 A step runs from a plan built at the first step with each step size: a
 control kernel (`controls.ControlKernel`), which advances the governors,
@@ -27,13 +28,13 @@ next plan when the step size changes. Every rotor speed is checked in every
 stage and the new state once per step; apart from those, a step allocates
 only its new state, p_m and E_f.
 
-Every scenario time and controller sample is resolved to a step of `dt`, or
-refused, before a run starts; the event engine then applies, by step index,
-line trips, recloses (a guarded one waits until the breaker angle is under
-its guard), controller activation and direct set-point overrides. The
-controller's model topology and its islanded buses are settled with each
-plant topology; a controller sample passes its measured bus loads to the
-model power flow.
+Every scenario time, `t_end` included, and every controller sample is
+resolved to a step of `dt`, or refused, before a run starts; the event
+engine then applies, by step index, line trips, recloses (a guarded one
+waits until the breaker angle is under its guard), controller activation and
+direct set-point overrides. The controller's model topology and its
+islanded buses are settled with each plant topology; a controller sample
+passes its measured bus loads to the model power flow.
 
 A run reports what happened as typed `RunEvent` records, in the order they
 happened: each applied scenario event under its own kind, an ignored trip
@@ -45,7 +46,7 @@ keeps the only log; `Trajectory.events` is that list, and each record's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -101,6 +102,9 @@ _TRIG_OFFSETS = np.array([[[-np.pi / 2, 0.0]], [[0.0, np.pi / 2]]])
 # they give in the step's sum
 _RK4_STAGES = np.array([0.5, 0.5, 1.0, 1.0])
 _RK4_WEIGHTS = np.array([1 / 3, 2 / 3, 1 / 3, 1 / 6])
+# the unit input of `_stage_matrix` behind each stage-vector entry of a
+# machine: its 6 states, the i_d, i_q and p_e pairs, p_m / omega, E_f and 1
+_STAGE_INPUTS = np.array([0, 1, 2, 3, 4, 5, 6, 6, 7, 7, 8, 8, 9, 10, 11])
 
 
 def _real_form(C: np.ndarray) -> np.ndarray:
@@ -114,22 +118,33 @@ def _real_form(C: np.ndarray) -> np.ndarray:
     return R.reshape(2 * m, 2 * k)
 
 
-def _stage_matrix(A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """`machines.affine_rhs`'s (A, c) as one matrix on the stage vector.
+def _stage_matrix(mach, omega_base: float) -> np.ndarray:
+    """`machines.linear_rhs` of the fleet as one matrix on the stage vector.
 
-    The stage vector is [x.ravel(), P, p_m / omega, E_f, 1], where P holds
-    for i_d, then i_q, then p_e, one pair of products per machine whose sum
-    is that quantity; so each column of i_d, i_q and -p_e appears twice.
+    The stage vector (`DynamicSimulation._alloc_stage_buffers`) is
+    [x.ravel(), P, p_m / omega, E_f, 1], where P holds for i_d, then i_q,
+    then p_e, one pair of products per machine whose sum is that quantity.
+    linear_rhs is evaluated for the whole fleet at each of a machine's 12
+    unit inputs: the 6 states, i_d, i_q, p_e, p_m / omega, E_f and the 1 of
+    omega = 1 + delta_omega. Each machine's 6 x 12 block then goes to its
+    columns, a pair's column to both of its products.
     """
-    n6 = A.shape[0]
-    n = n6 // mc.N_STATES
-
-    def block(b):
-        return A[:, n6 + b * n:n6 + (b + 1) * n]
-
-    pairs = np.hstack((block(mc.I_D), block(mc.I_Q), -block(mc.TORQUE)))
-    return np.hstack((A[:, :n6], np.repeat(pairs, 2, axis=1),
-                      block(mc.TORQUE), block(mc.E_F), c[:, None]))
+    n, k = mach.n, mc.N_STATES
+    n6 = k * n
+    unit = np.eye(12)
+    x = np.repeat(unit[:, None, :k], n, axis=1)
+    i_d, i_q, p_e, torque, E_f, one = unit.T[k:, :, None]
+    d = mc.linear_rhs(mach, x, i_d, i_q, torque - p_e, x[..., mc.OMEGA] + one,
+                      E_f, omega_base)
+    # the stage-vector column of each input for the first machine, and its
+    # step from one machine to the next
+    first = [0, 1, 2, 3, 4, 5, n6, n6 + 1, n6 + 2 * n, n6 + 2 * n + 1,
+             n6 + 4 * n, n6 + 4 * n + 1, n6 + 6 * n, n6 + 7 * n, n6 + 8 * n]
+    step = np.array([k] * k + [2] * 6 + [1, 1, 0])
+    m = np.arange(n)[:, None]
+    A = np.zeros((n, k, n6 + 8 * n + 1))
+    A[m, :, first + step * m] = d[_STAGE_INPUTS].transpose(1, 0, 2)
+    return A.reshape(n6, -1)
 
 
 def _steps(seconds: float, dt: float, what: str) -> int:
@@ -146,11 +161,16 @@ class SimConfig:
     t_end: float
     dt: float = 5e-3
     record_every: float = 0.1
+    # t_end and record_every in steps of dt, resolved once
+    last_step: int = field(init=False, repr=False)
+    record_stride: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0 < self.dt <= self.record_every and 0 <= self.t_end < np.inf):
             raise GridDataError("sim: need 0 < dt <= record_every and a finite t_end >= 0")
-        _steps(self.record_every, self.dt, "sim: record_every")
+        object.__setattr__(self, "last_step", _steps(self.t_end, self.dt, "sim: t_end"))
+        object.__setattr__(self, "record_stride",
+                           _steps(self.record_every, self.dt, "sim: record_every"))
 
 
 @dataclass(frozen=True)
@@ -217,11 +237,11 @@ class DynamicSimulation:
         V0 = sol0.v_complex
 
         # loads become constant impedances at the initial voltage profile
-        self._load = np.array([b.load_p + 1j * b.load_q for b in net.buses])
+        self._load = net.newton_plan.load
         self._v0_mag = np.abs(V0)
         self.y_load = np.conj(self._load) / self._v0_mag ** 2
         self.y_int = 1.0 / (self.mach.R + 1j * self.mach.X_d_pp)
-        self._A = _stage_matrix(*mc.affine_rhs(self.mach, self.omega_base))
+        self._A = _stage_matrix(self.mach, self.omega_base)
         self._freq_w = inertia_weights(self.mach.H, self.mach.S)
 
         s_inj = sol0.p_inj + 1j * sol0.q_inj
@@ -461,7 +481,7 @@ def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
     sample_steps = _steps(sampling_period, dt, "ofo: sampling_period")
     if sample_steps < 1:
         raise GridDataError(f"ofo: sampling_period below dt={dt:g}")
-    last_step = round(sim_cfg.t_end / dt)
+    last_step = sim_cfg.last_step
     schedule: dict[int, list[Event]] = {}
     on: list[int] = []  # activation steps, in order
     for ev in sorted(events, key=lambda e: e.time):
@@ -497,9 +517,7 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
     schedule, samples = check_events(grid.net, events, sim_cfg,
                                      ofo_cfg.sampling_period)
     sim = DynamicSimulation(grid, ofo_cfg, sensitivity_topology)
-    dt = sim_cfg.dt
-    n_steps = round(sim_cfg.t_end / dt)
-    rec_stride = round(sim_cfg.record_every / dt)
+    dt, n_steps, rec_stride = sim_cfg.dt, sim_cfg.last_step, sim_cfg.record_stride
     blocked: list[Event] = []  # guarded recloses waiting for the angle
     log: list[RunEvent] = []
 
@@ -533,7 +551,6 @@ def run_scenario(grid: "GridData", events: Sequence[Event], ofo_cfg: Optional[Of
                 if sim.set_line_status(ev.line_id, True):
                     log.append(RunEvent(t, LINE_RECLOSE, f"line {ev.line_id} reclosed"))
             elif ev.kind == ACTIVATE_OFO:
-                sim.ofo_state = replace(sim.ofo_state, active=True)
                 log.append(RunEvent(t, ACTIVATE_OFO, "OFO controller activated"))
             else:  # SET_INPUT
                 sim.ofo_state = replace(sim.ofo_state, u=ev.u)
@@ -577,8 +594,8 @@ def sweep_plan(grid: "GridData", events: Sequence[Event], ofo_cfg: OfoConfig,
     _, samples = check_events(grid.net, events, sim_cfg, ofo_cfg.sampling_period)
     if not samples:
         raise GridDataError(f"robustness: the scenario needs an {ACTIVATE_OFO} event")
-    stride = round(sim_cfg.record_every / sim_cfg.dt)
-    last_row = round(sim_cfg.t_end / sim_cfg.dt) // stride
+    stride = sim_cfg.record_stride
+    last_row = sim_cfg.last_step // stride
     rows = [-(-k // stride) for k in sorted(samples)]
     if not 0 < rows[0] <= last_row:
         raise GridDataError(

@@ -44,6 +44,7 @@ BAD_SCENARIOS = {
     "nan_time": lambda doc: doc["events"][1].update(time=NAN),
     "off_grid_sampling": lambda doc: doc["ofo"].update(sampling_period=0.503),
     "nan_t_end": lambda doc: doc["sim"].update(t_end=NAN),
+    "off_grid_t_end": lambda doc: doc["sim"].update(t_end=12.005),
     "list_ofo": lambda doc: doc.update(ofo=[3.0, 5.0]),
     "text_dt": lambda doc: doc["sim"].update(dt="x"),
     "null_dt": lambda doc: doc["sim"].update(dt=None),
@@ -89,6 +90,8 @@ BAD_GRIDS = {
     "unused_machine": lambda doc: doc["machines"].append(
         dict(doc["machines"][0], name="G99")),
     "zero_frequency": lambda doc: doc.update(frequency=0),
+    "unequal_subtransient_reactances": lambda doc: doc["machines"][0].update(
+        X_q_pp=1.1 * doc["machines"][0]["X_d_pp"]),
     # non-finite numbers are refused as the file is parsed
     "nan_machine_D": lambda doc: doc["machines"][0].update(D=NAN),
     "inf_machine_H": lambda doc: doc["machines"][0].update(H=INF),

@@ -13,7 +13,6 @@ from gridofo.machines import (
     OMEGA,
     MachineParams,
     MachineSet,
-    affine_rhs,
     dq_currents,
     electrical_power,
     init_from_power_flow,
@@ -22,6 +21,7 @@ from gridofo.machines import (
     rotor_rotation,
     to_dq,
 )
+from gridofo.simulator import _stage_matrix
 
 OMEGA_BASE = 2 * np.pi * 60
 
@@ -187,15 +187,17 @@ class TestInitialization:
         assert q == pytest.approx(state[EQ_PP])
 
 
-class TestAffineRhs:
+class TestStageMatrix:
     def test_matches_reference_derivatives(self):
-        """The affine map reproduces machine_derivatives on random states."""
+        """The simulator's stage matrix, derived from linear_rhs, reproduces
+        machine_derivatives on random states, with each pair of products
+        of the stage vector split into two unequal addends."""
         fleet = MachineSet([make_machine(name="A", H=3.0, D=2.0),
                             make_machine(name="B", R=0.0, X_q_pp=0.15),
                             make_machine(name="C", T_q0_pp=0.07)])
         rng = np.random.default_rng(11)
-        A, c = affine_rhs(fleet, OMEGA_BASE)
-        assert A.shape == (18, 30)
+        A = _stage_matrix(fleet, OMEGA_BASE)
+        assert A.shape == (18, 18 + 8 * 3 + 1)
         for _ in range(10):
             state = rng.normal(size=(3, 6))
             state[:, OMEGA] *= 0.01
@@ -203,10 +205,12 @@ class TestAffineRhs:
             p_m = rng.uniform(0.2, 1.0, 3)
             E_f = rng.uniform(1.0, 3.0, 3)
             i_d, i_q = dq_currents(fleet, state, v)
-            tau = p_m / (1.0 + state[:, OMEGA]) - electrical_power(state, i_d, i_q)
-            z = np.concatenate([state.ravel(), i_d, i_q, tau, E_f])
+            pairs = np.stack([i_d, i_q, electrical_power(state, i_d, i_q)])
+            z = np.concatenate([state.ravel(),
+                                np.stack([0.3 * pairs, 0.7 * pairs], axis=-1).ravel(),
+                                p_m / (1.0 + state[:, OMEGA]), E_f, [1.0]])
             want = machine_derivatives(fleet, state, p_m, E_f, v, OMEGA_BASE)
-            np.testing.assert_allclose((A @ z + c).reshape(3, 6), want,
+            np.testing.assert_allclose((A @ z).reshape(3, 6), want,
                                        rtol=1e-12, atol=1e-12)
 
 
