@@ -5,14 +5,15 @@ advanced with the trapezoidal rule, inputs frozen over the step. Limited
 stages use clamping anti-windup: the limited state itself is clipped, so it
 does not wind up while the output saturates.
 
-The simulator advances all four blocks of a fleet with one `ControlKernel`,
-built once per step size: between the limiters every block is affine, so a
-step is two precomputed affine maps of one stacked state vector, each
-followed by its clamps. The kernel keeps that state in place, in one work
-vector whose input slots the caller fills before each step. The step
-functions below are the readable reference the kernel is tested against.
-They are pure: they take a state, return (new_state, output), and broadcast
-over machine fleets when the parameters are arrays.
+Each block is stated once, split at its clamps into affine pieces
+(`_valve` and `_turbine`, `_pss`, `_exciter`; `agc_step` has no clamp and is
+affine whole): a step function is its pieces plus its clamps. The step
+functions are pure: they take a state, return (new_state, output), and
+broadcast over machine fleets when the parameters are arrays. The simulator
+advances all four blocks of a fleet with one `ControlKernel`, built once per
+step size by evaluating the same pieces on coefficient matrices: a step is
+two affine maps of one stacked state vector, the pieces before the clamps
+and the pieces after them, each followed by its clamps.
 """
 
 from __future__ import annotations
@@ -156,11 +157,20 @@ def governor_init(p, p_m0) -> GovernorState:
     return GovernorState(x_valve=x.copy(), x_turb=x.copy())
 
 
+def _valve(p, x_valve, delta_omega, p_m0, dt):
+    """The new valve state, before its [V_min, V_max] clamp."""
+    return _trapz_lag(x_valve, p_m0 - delta_omega / p.R_g, p.T_1, dt)
+
+
+def _turbine(p, x_turb, x_valve, delta_omega, dt):
+    """The new turbine state and the governor output, from the clamped valve."""
+    x_turb = _trapz_lag(x_turb, x_valve, p.T_3, dt)
+    return x_turb, _leadlag_out(x_turb, x_valve, p.T_2, p.T_3) - p.D_t * delta_omega
+
+
 def governor_step(p, s: GovernorState, delta_omega, p_m0, dt):
-    u = p_m0 - delta_omega / p.R_g
-    x_valve = _clip(_trapz_lag(s.x_valve, u, p.T_1, dt), p.V_min, p.V_max)
-    x_turb = _trapz_lag(s.x_turb, x_valve, p.T_3, dt)
-    out = _leadlag_out(x_turb, x_valve, p.T_2, p.T_3) - p.D_t * delta_omega
+    x_valve = _clip(_valve(p, s.x_valve, delta_omega, p_m0, dt), p.V_min, p.V_max)
+    x_turb, out = _turbine(p, s.x_turb, x_valve, delta_omega, dt)
     return GovernorState(x_valve, x_turb), out
 
 
@@ -179,12 +189,18 @@ def exciter_init(p, E_f0) -> ExciterState:
     return ExciterState(x_ll=e0.copy(), x_out=_clip(E_f0, p.E_min, p.E_max))
 
 
-def exciter_step(p, s: ExciterState, delta_v, v_pss, E_f0, dt):
+def _exciter(p, s: ExciterState, delta_v, v_pss, E_f0, dt) -> ExciterState:
+    """The new states, x_out before its [E_min, E_max] clamp."""
     u = E_f0 / p.K_ex + delta_v + v_pss
     x_ll = _trapz_lag(s.x_ll, u, p.T_b, dt)
     mid = _leadlag_out(x_ll, u, p.T_a, p.T_b)
-    x_out = _clip(_trapz_lag(s.x_out, p.K_ex * mid, p.T_e, dt), p.E_min, p.E_max)
-    return ExciterState(x_ll, x_out), x_out
+    return ExciterState(x_ll, _trapz_lag(s.x_out, p.K_ex * mid, p.T_e, dt))
+
+
+def exciter_step(p, s: ExciterState, delta_v, v_pss, E_f0, dt):
+    s = _exciter(p, s, delta_v, v_pss, E_f0, dt)
+    x_out = _clip(s.x_out, p.E_min, p.E_max)
+    return ExciterState(s.x_ll, x_out), x_out
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +219,19 @@ def pss_init(p, n: int) -> PssState:
     return PssState(z.copy(), z.copy(), z.copy())
 
 
-def pss_step(p, s: PssState, delta_omega, dt):
+def _pss(p, s: PssState, delta_omega, dt):
+    """The new states and the output, before its +-H_lim clamp."""
     x_w = _trapz_lag(s.x_w, delta_omega, p.T, dt)
     w_out = p.K_PSS * (delta_omega - x_w) / p.T
     x_1 = _trapz_lag(s.x_1, w_out, p.T_3, dt)
     o_1 = _leadlag_out(x_1, w_out, p.T_1, p.T_3)
     x_2 = _trapz_lag(s.x_2, o_1, p.T_4, dt)
-    out = _clip(_leadlag_out(x_2, o_1, p.T_2, p.T_4), -p.H_lim, p.H_lim)
-    return PssState(x_w, x_1, x_2), out
+    return PssState(x_w, x_1, x_2), _leadlag_out(x_2, o_1, p.T_2, p.T_4)
+
+
+def pss_step(p, s: PssState, delta_omega, dt):
+    s, out = _pss(p, s, delta_omega, dt)
+    return s, _clip(out, -p.H_lim, p.H_lim)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +284,15 @@ def stack_states(gov: GovernorState, pss: PssState, exc: ExciterState,
 class ControlKernel:
     """governor_step, pss_step, exciter_step and agc_step of a fleet, fused.
 
-    Built for one step size `dt`, from the same helpers as the reference
-    blocks, and from the stacked state `state` (see stack_states), which it
-    copies. The kernel owns one work vector w = [v_pss, stacked state,
-    delta_omega, delta_v, 1]; `state`, `delta_omega` and `delta_v` are views
-    of its slots. The caller writes a step's inputs into `delta_omega` and
-    `delta_v`, then `step` advances `state` in place:
-
-    1. one affine map gives the PSS output and the new valve, washout,
-       lead-lag and AGC states; the valve is clipped to [V_min, V_max] and the
-       PSS output to +-H_lim;
-    2. reading those clipped values from w, a second affine map gives the new
-       turbine and exciter states and p_gov + p_agc; E_f is clipped to
-       [E_min, E_max].
+    Built for one step size `dt` from the blocks' pieces, and from the
+    stacked state `state` (see stack_states), which it copies. The kernel
+    owns one work vector w = [v_pss, stacked state, delta_omega, delta_v, 1];
+    `state`, `delta_omega` and `delta_v` are views of its slots. The caller
+    writes a step's inputs into `delta_omega` and `delta_v`, then `step`
+    advances `state` in place: stage 1 maps w through the pieces before the
+    clamps and clips the valve and the PSS output; stage 2 maps w, now
+    holding those clipped values, through the pieces after them and clips
+    E_f.
     """
 
     def __init__(self, gov: GovernorSet, pss: PssSet, exc: ExciterSet,
@@ -283,13 +300,13 @@ class ControlKernel:
         if not (np.isfinite(dt) and dt > 0):
             raise GridDataError(f"control kernel: dt must be finite and > 0, got {dt!r}")
         self.dt = dt
-        n = self.n = gov.n
+        n = gov.n
         # slots of w; stage 1 writes [V_PSS, X_TURB), stage 2 [X_TURB, DW)
         V_PSS, X_VALVE, X_W, X_1, X_2, X_I = 0, n, 2 * n, 3 * n, 4 * n, 5 * n
         X_TURB, X_LL, X_OUT = 5 * n + 1, 6 * n + 1, 7 * n + 1
         DW, DV, ONE = 8 * n + 1, 9 * n + 1, 10 * n + 1
         # every quantity below is its (len(w), n) matrix of coefficients on
-        # w, column j for machine j; the reference helpers broadcast over it
+        # w, column j for machine j; the blocks' pieces broadcast over it
         basis = np.eye(ONE + 1)
 
         def slot(i, m=n):
@@ -297,29 +314,22 @@ class ControlKernel:
 
         one, dw, dv = slot(ONE, 1), slot(DW), slot(DV)
         avg_dw = dw @ np.asarray(weights, dtype=float)[:, None]
-        beta = np.asarray(agc.beta, dtype=float)
+        agc_now = AgcState(slot(X_I, 1))
 
-        # stage 1: w holds the previous step's states
-        x_valve = _trapz_lag(slot(X_VALVE), one * p_m0 - dw / gov.R_g, gov.T_1, dt)
-        x_w = _trapz_lag(slot(X_W), dw, pss.T, dt)
-        w_out = pss.K_PSS * (dw - x_w) / pss.T
-        x_1 = _trapz_lag(slot(X_1), w_out, pss.T_3, dt)
-        o_1 = _leadlag_out(x_1, w_out, pss.T_1, pss.T_3)
-        x_2 = _trapz_lag(slot(X_2), o_1, pss.T_4, dt)
-        v_pss = _leadlag_out(x_2, o_1, pss.T_2, pss.T_4)
-        x_i = slot(X_I, 1) + dt * agc.K_i * (-agc.lam * avg_dw)
-        self._A1 = np.hstack((v_pss, x_valve, x_w, x_1, x_2, x_i)).T.copy()
+        # stage 1, the pieces before the clamps: w holds the previous states
+        x_valve = _valve(gov, slot(X_VALVE), dw, one * p_m0, dt)
+        s_pss, v_pss = _pss(pss, PssState(slot(X_W), slot(X_1), slot(X_2)), dw, dt)
+        s_agc, _ = agc_step(agc, agc_now, avg_dw, dt)
+        self._A1 = np.hstack((v_pss, x_valve, s_pss.x_w, s_pss.x_1, s_pss.x_2,
+                              s_agc.x_i)).T.copy()
 
-        # stage 2: the stage-1 slots of w now hold the clipped new values
-        x_valve, v_pss, x_i = slot(X_VALVE), slot(V_PSS), slot(X_I, 1)
-        x_turb = _trapz_lag(slot(X_TURB), x_valve, gov.T_3, dt)
-        p_gov = _leadlag_out(x_turb, x_valve, gov.T_2, gov.T_3) - gov.D_t * dw
-        u = one * (E_f0 / exc.K_ex) + dv + v_pss
-        x_ll = _trapz_lag(slot(X_LL), u, exc.T_b, dt)
-        mid = _leadlag_out(x_ll, u, exc.T_a, exc.T_b)
-        x_out = _trapz_lag(slot(X_OUT), exc.K_ex * mid, exc.T_e, dt)
-        p_agc = beta * (agc.K_p * (-agc.lam * avg_dw) + x_i)
-        self._A2 = np.hstack((x_turb, x_ll, x_out, p_gov + p_agc)).T.copy()
+        # stage 2, the pieces after them: the stage-1 slots of w now hold the
+        # clamped new values; AGC's output at its new state is agc_step at dt 0
+        x_turb, p_gov = _turbine(gov, slot(X_TURB), slot(X_VALVE), dw, dt)
+        s_exc = _exciter(exc, ExciterState(slot(X_LL), slot(X_OUT)), dv, slot(V_PSS),
+                         one * E_f0, dt)
+        _, p_agc = agc_step(agc, agc_now, avg_dw, 0.0)
+        self._A2 = np.hstack((x_turb, s_exc.x_ll, s_exc.x_out, p_gov + p_agc)).T.copy()
 
         self._lo1 = np.concatenate((-pss.H_lim, gov.V_min))
         self._hi1 = np.concatenate((pss.H_lim, gov.V_max))

@@ -77,6 +77,8 @@ class Line:
     in_service: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.in_service, bool):
+            raise GridDataError(f"line {self.id}: in_service must be true or false")
         if self.in_service and self.x == 0.0 and self.r == 0.0:
             raise DegenerateLineError(f"line {self.id}: zero series impedance")
         if self.flow_max <= 0:
@@ -101,20 +103,32 @@ class NetworkModel:
     frequency: float = 60.0
 
     def __post_init__(self):
-        ids = [b.id for b in self.buses]
-        if len(set(ids)) != len(ids):
+        kinds = {b.id: b.kind for b in self.buses}
+        if len(kinds) != len(self.buses):
             raise GridDataError("duplicate bus ids")
-        idset = set(ids)
         for ln in self.lines:
-            if ln.from_bus not in idset or ln.to_bus not in idset:
+            if ln.from_bus not in kinds or ln.to_bus not in kinds:
                 raise GridDataError(f"line {ln.id} references unknown bus")
+        # the power flow pins a generator's v set-point at its bus, and the
+        # dynamics give each machine its bus's whole injection: generators and
+        # PV/slack buses pair one to one
+        gen_buses = set()
         for g in self.generators:
-            if g.bus not in idset:
+            kind = kinds.get(g.bus)
+            if kind is None:
                 raise GridDataError(f"generator at unknown bus {g.bus}")
+            if kind == PQ:
+                raise GridDataError(f"generator at PQ bus {g.bus}")
+            if g.bus in gen_buses:
+                raise GridDataError(f"two generators at bus {g.bus}")
+            gen_buses.add(g.bus)
+        for b in self.buses:
+            if b.kind != PQ and b.id not in gen_buses:
+                raise GridDataError(f"{b.kind} bus {b.id} has no generator")
         if sum(1 for b in self.buses if b.kind == SLACK) != 1:
             raise GridDataError("exactly one slack bus required")
         a, b = self.monitored_pair
-        if a not in idset or b not in idset:
+        if a not in kinds or b not in kinds:
             raise GridDataError("monitored_pair references unknown bus")
         if not (np.isfinite(self.frequency) and self.frequency > 0):
             raise GridDataError("frequency must be finite and > 0")

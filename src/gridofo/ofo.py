@@ -86,8 +86,10 @@ def default_config(net: NetworkModel, **overrides) -> OfoConfig:
         if key not in base:
             raise GridDataError(f"ofo: unknown config field {key!r}")
         shape = np.shape(base[key])
+        # a JSON true or false is no number, though numpy reads it as one
+        flat = val if isinstance(val, (list, tuple)) else (val,)
         try:
-            val = np.asarray(val, dtype=float)
+            val = None if any(isinstance(x, bool) for x in flat) else np.asarray(val, dtype=float)
         except (TypeError, ValueError):
             val = None
         if val is None or val.shape not in ((), shape):

@@ -166,6 +166,8 @@ class SimConfig:
     record_stride: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        if any(isinstance(x, bool) for x in (self.t_end, self.dt, self.record_every)):
+            raise GridDataError("sim: t_end, dt and record_every must be numbers")
         if not (0 < self.dt <= self.record_every and 0 <= self.t_end < np.inf):
             raise GridDataError("sim: need 0 < dt <= record_every and a finite t_end >= 0")
         object.__setattr__(self, "last_step", _steps(self.t_end, self.dt, "sim: t_end"))
@@ -182,15 +184,16 @@ class Event:
     guard_max_angle_deg: Optional[float] = None
 
     def __post_init__(self):
-        if self.time < 0:
-            raise GridDataError("event: time must be >= 0")
+        if isinstance(self.time, bool) or self.time < 0:
+            raise GridDataError("event: time must be a number >= 0")
         if self.kind not in (LINE_TRIP, LINE_RECLOSE, ACTIVATE_OFO, SET_INPUT):
             raise GridDataError(f"event: unknown kind {self.kind!r}")
         if self.kind in (LINE_TRIP, LINE_RECLOSE) and not self.line_id:
             raise GridDataError(f"event: {self.kind} requires line_id")
         guard = self.guard_max_angle_deg
-        if guard is not None and not (self.kind == LINE_RECLOSE
-                                      and isinstance(guard, (int, float)) and 0 < guard < np.inf):
+        number = isinstance(guard, (int, float)) and not isinstance(guard, bool)
+        if guard is not None and not (self.kind == LINE_RECLOSE and number
+                                      and 0 < guard < np.inf):
             raise GridDataError("event: guard_max_angle_deg must be a finite number > 0, "
                                 f"on a {LINE_RECLOSE} only")
 
@@ -455,8 +458,7 @@ class DynamicSimulation:
                     "model power flow found no plausible operating point")
             self._sens_warm = sol
             S = compute_sensitivity(model_net, sol)
-        except (IslandingError, PowerFlowDivergenceError,
-                VoltageCollapseProximityError) as exc:
+        except (IslandingError, VoltageCollapseProximityError) as exc:
             # no trustworthy sensitivity at this instant: hold the input
             return RunEvent(t, SAMPLE_SKIPPED, f"sensitivity update skipped: {exc}")
         try:
@@ -498,7 +500,8 @@ def check_events(net, events: Sequence[Event], sim_cfg: SimConfig,
                 u = np.asarray(ev.u, dtype=float)
             except (TypeError, ValueError):
                 u = None
-            if u is None or u.shape != (n_u,) or not np.all(np.isfinite(u)):
+            if (u is None or u.shape != (n_u,) or not np.all(np.isfinite(u))
+                    or any(isinstance(x, bool) for x in ev.u)):
                 raise GridDataError(
                     f"event at t={ev.time:g}: set_input u needs {n_u} finite entries")
         schedule.setdefault(k, []).append(ev)

@@ -56,6 +56,12 @@ BAD_SCENARIOS = {
     "negative_guard": _reclose(guard_max_angle_deg=-1.0),
     "zero_guard": _reclose(guard_max_angle_deg=0.0),
     "guard_on_trip": lambda doc: doc["events"][0].update(guard_max_angle_deg=30.0),
+    # JSON true is no number, though Python reads it as 1; t_end true would
+    # end the run before the activation at 5 s, which is refused anyway
+    "bool_time": lambda doc: doc["events"][0].update(time=True),
+    "bool_guard": _reclose(guard_max_angle_deg=True),
+    "bool_t_end": lambda doc: (doc["sim"].update(t_end=True), doc["events"].pop(1)),
+    "bool_alpha": lambda doc: doc["ofo"].update(alpha=True),
 }
 
 
@@ -101,6 +107,11 @@ BAD_GRIDS = {
     # so are integers beyond the largest float, and ones too long for int()
     "huge_int_machine_H": lambda doc: doc["machines"][0].update(H=10 ** 400),
     "longest_int_machine_H": lambda doc: doc["machines"][0].update(H=LONG_INT),
+    # generators and PV/slack buses pair one to one
+    "generator_at_pq_bus": lambda doc: doc["generators"][1].update(bus=1),
+    "pv_bus_without_generator": lambda doc: doc["buses"][0].update(kind="PV"),
+    "two_generators_one_bus": lambda doc: doc["generators"][2].update(bus=31),
+    "text_in_service": lambda doc: doc["lines"][0].update(in_service="no"),
 }
 
 

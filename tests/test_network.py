@@ -308,6 +308,15 @@ class TestTopologyEdits:
             NetworkModel(buses=(Bus(id=1),), lines=(),
                          generators=(GenLocation(bus=2, machine="G"),),
                          base_power=100.0, monitored_pair=(1, 1))
+        # generators and PV/slack buses pair one to one, named in the error
+        buses = (Bus(id=1, kind="slack"), Bus(id=2, kind="PV"), Bus(id=3))
+        for gen_buses, bus in (((1, 2, 3), "PQ bus 3"), ((1,), "PV bus 2"),
+                               ((1, 2, 2), "at bus 2")):
+            with pytest.raises(GridDataError, match=bus):
+                NetworkModel(buses=buses, lines=(), base_power=100.0,
+                             generators=tuple(GenLocation(bus=i, machine=f"G{k}")
+                                              for k, i in enumerate(gen_buses)),
+                             monitored_pair=(1, 3))
 
 
 def _jacobian_cases():
